@@ -392,6 +392,21 @@ let kernel_thunks () =
       time_limit = 30.0;
       core = Lp.Simplex.Sparse }
   in
+  (* One cold case-study plan as the service runs it: the service's
+     default MILP options (engine included) on Florida 0.25 with
+     economies of scale and fixed charges, node-limited.  Cut rounds,
+     pump rounds, tree nodes and strong-branching probes all lean on
+     warm re-solves, so an engine whose warm starts fall back cold shows
+     here as a several-fold regression. *)
+  let case_study = lazy (Datasets.Florida.asis ~scale:0.25 ()) in
+  let case_study_builder =
+    { Etransform.Lp_builder.default_options with
+      Etransform.Lp_builder.economies_of_scale = true;
+      fixed_charges = true }
+  in
+  let case_study_milp =
+    { Etransform.Solver.default_milp_options with Lp.Milp.node_limit = 3 }
+  in
   [
     ( "e1_simplex_solve",
       fun () -> ignore (Lp.Simplex.solve (Lp.Simplex.of_model (small_lp ()))) );
@@ -446,6 +461,11 @@ let kernel_thunks () =
       fun () ->
         tree "federal_milp_root" federal_root_opts (Lazy.force federal_root) ()
     );
+    ( "plan_case_study",
+      fun () ->
+        ignore
+          (Etransform.Solver.consolidate ~builder:case_study_builder
+             ~milp:case_study_milp (Lazy.force case_study)) );
     ("e1_greedy_baseline", fun () -> ignore (Etransform.Greedy.plan fixture));
     ( "e2_backup_pools",
       fun () ->

@@ -17,21 +17,18 @@ type outcome = {
    so a deep best-bound search rarely improves the incumbent.  Keep the
    default tree small and let callers raise it for certified optima.
 
-   The reference configuration pins the dense simplex core and disables
-   presolve: with truncated trees the reported plan is the dive (or
-   LP-rounding) incumbent, and a different — equally optimal — degenerate
-   LP vertex steers those heuristics to a different, equally heuristic
-   plan.  Pinning the historical engine keeps the paper reproductions
-   (experiments E1–E3) bit-stable as the solver pipeline evolves; callers
-   chasing speed over reproducibility can flip [core]/[presolve] back to
-   the {!Lp.Milp.default_options} values. *)
+   Every production solve (service jobs, DR planning, the studies) runs
+   on the default sparse simplex core, whose dual-simplex warm starts
+   carry cut rounds, pump rounds, tree nodes and strong-branching probes.
+   Presolve stays off: the node-limited plans are the dive or LP-rounding
+   incumbents, and the case-study tables (E1–E3) are held to cost and
+   claim agreement on this configuration. *)
 let default_milp_options =
   {
     Lp.Milp.default_options with
     Lp.Milp.node_limit = 24;
     time_limit = 60.0;
     gap_tol = 5e-3;
-    core = Lp.Simplex.Dense;
     presolve = false;
   }
 

@@ -26,24 +26,9 @@ let case_builder =
     fixed_charges = true;
   }
 
-let case_milp =
-  {
-    Solver.default_milp_options with
-    Lp.Milp.node_limit = 4;
-    time_limit = 60.0;
-  }
-
-(* Size-aware engine selection.  The small case studies keep the pinned
-   dense-core configuration (see {!Solver.default_milp_options}) for
-   bit-stable tables; a large estate such as Federal at scale 0.25
-   (~12k columns) would spend its whole budget factoring dense bases,
-   so it switches to the sparse core and a deeper tree.  The threshold
-   sits well above Enterprise1/Florida and below any Federal scale that
-   needs the switch, so historical tables are unchanged. *)
-let case_milp_for asis =
-  if Asis.num_groups asis > 300 then
-    { case_milp with Lp.Milp.core = Lp.Simplex.Sparse; node_limit = 24 }
-  else case_milp
+(* One MILP configuration serves every estate, Federal included: the
+   service's defaults (24 nodes, 60 s on the sparse core). *)
+let case_milp = Solver.default_milp_options
 
 let datasets ?(federal_scale = federal_scale_default ()) () =
   [
@@ -103,8 +88,7 @@ let run_case ~dr (name, asis) =
       let manual = Evaluate.plan asis (Manual.plan asis) in
       let greedy = Evaluate.plan asis (Greedy.plan asis) in
       let et =
-        (Solver.consolidate ~builder:case_builder ~milp:(case_milp_for asis)
-           asis)
+        (Solver.consolidate ~builder:case_builder ~milp:case_milp asis)
           .Solver.summary
       in
       [
@@ -123,7 +107,7 @@ let run_case ~dr (name, asis) =
            ~options:
              {
                Dr_planner.default_options with
-               Dr_planner.milp = case_milp_for asis;
+               Dr_planner.milp = case_milp;
                economies_of_scale = true;
              }
            asis)
@@ -510,7 +494,7 @@ let e7_scenario_frontier () =
      pins every structurally-unchanged group to its previous primary and
      warm-starts the tree. *)
   let asis = Datasets.Florida.asis ~scale:0.5 () in
-  let milp = case_milp_for asis in
+  let milp = case_milp in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in

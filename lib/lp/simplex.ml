@@ -775,25 +775,28 @@ let warm_state input (w : basis) =
           end
       done;
       Array.iter (fun b -> stat.(b) <- Basic) basis;
-      (* Refactorize: make each basis column a unit vector, choosing the
-         largest available pivot at every step for stability. *)
-      let rowdone = Array.make m false in
+      (* Refactorize: make each basis column a unit vector in the
+         unclaimed row where it is largest, permuting the basis-to-row
+         assignment accordingly (as the sparse [refactorize] does). *)
+      let claimed = Array.make m false in
       (try
-         for _step = 0 to m - 1 do
-           let r = ref (-1) and best = ref 1e-8 in
-           for i = 0 to m - 1 do
-             if not rowdone.(i) then begin
-               let w = Float.abs (Tableau.get tab i basis.(i)) in
-               if w > !best then begin
-                 best := w;
-                 r := i
+         Array.iter
+           (fun col ->
+             let r = ref (-1) and best = ref 1e-8 in
+             for i = 0 to m - 1 do
+               if not claimed.(i) then begin
+                 let a = Float.abs (Tableau.get tab i col) in
+                 if a > !best then begin
+                   best := a;
+                   r := i
+                 end
                end
-             end
-           done;
-           if !r < 0 then raise Exit;
-           Tableau.pivot tab ~row:!r ~col:basis.(!r);
-           rowdone.(!r) <- true
-         done
+             done;
+             if !r < 0 then raise Exit;
+             Tableau.pivot tab ~row:!r ~col;
+             claimed.(!r) <- true;
+             basis.(!r) <- col)
+           w.vbasis
        with Exit -> ok := false);
       if not !ok then None
       else begin

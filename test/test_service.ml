@@ -438,6 +438,32 @@ let test_failed_without_degradation () =
         (r.Service.Pool.code = Service.Pool.Failed);
       Alcotest.(check bool) "no outcome" true (r.Service.Pool.outcome = None))
 
+let test_service_engine_warm_starts () =
+  (* The engine the service solves with must take the dual-simplex warm
+     path on branch re-solves of a cold-plan job (a seeded synthetic
+     estate with economies of scale and fixed charges): an engine whose
+     warm starts silently fall back cold makes every cut round, tree node
+     and strong-branching probe a full solve. *)
+  let job =
+    Service.Job.v ~economies_of_scale:true ~fixed_charges:true
+      ~milp:{ Service.Job.no_overrides with Service.Job.node_limit = Some 3 }
+      (Service.Job.Dataset
+         { name = "synthetic"; scale = 1.0; seed = 7; groups = 10; targets = 6 })
+  in
+  let built =
+    Lp_builder.build
+      ~options:
+        {
+          Lp_builder.default_options with
+          Lp_builder.economies_of_scale = job.Service.Job.economies_of_scale;
+          fixed_charges = job.Service.Job.fixed_charges;
+        }
+      (Service.Job.build_estate job)
+  in
+  Test_simplex.check_warm_branches
+    ~core:(Service.Job.milp_options job).Lp.Milp.core
+    built.Lp_builder.model
+
 (* ----------------------------------------------------------------- batch *)
 
 let test_batch_stream_alignment () =
@@ -533,6 +559,8 @@ let suite =
       test_capped_budget_not_cached;
     Alcotest.test_case "pool: no degradation means failure" `Quick
       test_failed_without_degradation;
+    Alcotest.test_case "service engine warm-starts branch re-solves" `Quick
+      test_service_engine_warm_starts;
     Alcotest.test_case "batch: NDJSON stream alignment" `Slow
       test_batch_stream_alignment;
   ]

@@ -397,6 +397,70 @@ let test_warm_random_bound_changes () =
   done;
   Alcotest.(check bool) "dual path exercised" true (!warm_hits > 0)
 
+(* Branch-and-bound's own use of the warm path, on a consolidation model
+   whose saved basis does not pair row i with a column nonzero in row i:
+   the refactorization has to permute the basis-to-row assignment, or
+   every down-branch silently re-solves cold.  [core] is the engine under
+   test; the checks hold for any engine that production may select. *)
+let check_warm_branches ~core model =
+  let input = Simplex.of_model model in
+  let r0 = Simplex.solve ~core ~want_basis:true input in
+  Alcotest.(check string) "root status" "optimal"
+    (Status.to_string r0.Simplex.status);
+  let basis = Option.get r0.Simplex.basis in
+  let branches = ref 0 in
+  List.iter
+    (fun (v : Model.var) ->
+      let j = v.Model.id in
+      let xj = r0.Simplex.x.(j) in
+      if Float.abs (xj -. Float.round xj) > 1e-6 then begin
+        incr branches;
+        let hi = Array.copy input.Simplex.hi in
+        hi.(j) <- Float.floor xj;
+        let down = { input with Simplex.hi } in
+        let rw = Simplex.solve ~core ~warm:basis down in
+        let rc = Simplex.solve ~core down in
+        let tag = Printf.sprintf "x%d <= %g" j hi.(j) in
+        Alcotest.(check bool)
+          (tag ^ " warm started") true rw.Simplex.warm_started;
+        Alcotest.(check (float 1e-6))
+          (tag ^ " objective") rc.Simplex.obj_value rw.Simplex.obj_value;
+        match Simplex.check_certificate down rw with
+        | [] -> ()
+        | errs ->
+            Alcotest.failf "%s certificate: %s" tag (String.concat "; " errs)
+      end)
+    (Model.integer_vars model);
+  Alcotest.(check bool) "root is fractional" true (!branches > 0)
+
+let test_warm_branches_consolidation () =
+  let asis =
+    Datasets.Synth.generate
+      {
+        Datasets.Synth.default with
+        Datasets.Synth.seed = 7;
+        n_groups = 10;
+        n_targets = 6;
+        n_current = 6;
+        total_servers = 80;
+      }
+  in
+  let built =
+    Etransform.Lp_builder.build
+      ~options:
+        {
+          Etransform.Lp_builder.default_options with
+          Etransform.Lp_builder.economies_of_scale = true;
+          fixed_charges = true;
+        }
+      asis
+  in
+  Alcotest.(check int) "rows" 52
+    (Model.num_constrs built.Etransform.Lp_builder.model);
+  List.iter
+    (fun (_, core) -> check_warm_branches ~core built.Etransform.Lp_builder.model)
+    both_cores
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -420,5 +484,7 @@ let suite =
       test_warm_random_bound_changes;
     Alcotest.test_case "eta refactorization drift" `Quick
       test_eta_refactorization_drift;
+    Alcotest.test_case "warm branches on a consolidation model" `Quick
+      test_warm_branches_consolidation;
     q prop_random_feasible;
   ]
