@@ -407,6 +407,13 @@ let kernel_thunks () =
   let case_study_milp =
     { Etransform.Solver.default_milp_options with Lp.Milp.node_limit = 3 }
   in
+  (* Plan polishing from the greedy DR plan: primary and secondary
+     reassignments and swaps, screened against shared backup pools. *)
+  let polish_input =
+    lazy
+      (let asis = Datasets.Enterprise1.asis ~scale:0.15 () in
+       (asis, Etransform.Greedy.plan_dr asis))
+  in
   [
     ( "e1_simplex_solve",
       fun () -> ignore (Lp.Simplex.solve (Lp.Simplex.of_model (small_lp ()))) );
@@ -466,6 +473,10 @@ let kernel_thunks () =
         ignore
           (Etransform.Solver.consolidate ~builder:case_study_builder
              ~milp:case_study_milp (Lazy.force case_study)) );
+    ( "local_search_polish",
+      fun () ->
+        let asis, start = Lazy.force polish_input in
+        ignore (Etransform.Local_search.improve asis start) );
     ("e1_greedy_baseline", fun () -> ignore (Etransform.Greedy.plan fixture));
     ( "e2_backup_pools",
       fun () ->

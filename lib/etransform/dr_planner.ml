@@ -380,8 +380,8 @@ let plan ?(options = default_options) asis =
            could silently re-pair a group with a co-failing backup, so
            scenario'd plans skip the polish. *)
         if options.local_search && options.scenario = None then
-          Local_search.improve ~swaps:(Asis.num_groups asis <= 120) asis
-            placement
+          Local_search.improve ~swaps:(Asis.num_groups asis <= 120)
+            ?omega:options.omega asis placement
         else (placement, 0)
       in
       {

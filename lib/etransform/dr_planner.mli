@@ -11,7 +11,7 @@
       primaries fixed, shared pools linearize exactly as
       G_b >= sum over groups with primary a of S_i Y_ib, an O(M N) MILP;
     + a joint local search then polishes both decisions against the exact
-      evaluator.
+      evaluator, keeping the same business-impact spread.
 
     If stage 2 is infeasible the reservation is raised and both stages
     rerun.  On small instances the result is checked against the joint

@@ -3,7 +3,16 @@
 
     The MILP objective linearizes the volume-discount curve; a short local
     search against {!Evaluate} recovers most of the gap, and it also repairs
-    plans produced under node/time budgets. *)
+    plans produced under node/time budgets.
+
+    Candidates are screened incrementally: a move touches at most four DCs,
+    so their capacity and the cost change are computed from per-DC loads,
+    backup pools and site costs plus the moved groups' WAN and latency
+    terms.  Only candidates that fit and improve the cost (within a
+    rounding bound) are built and confirmed by {!Placement.validate} and
+    {!Evaluate}.  Both screens are necessary conditions for that exact
+    test, so the accepted moves and the returned plan are the same as
+    scoring every candidate with the full evaluator. *)
 
 (** [improve asis plan] hill-climbs until a fixed point or [max_rounds];
     returns the improved plan and the number of accepted moves.  Moves that

@@ -86,6 +86,24 @@ let test_omega_in_joint () =
         (float_of_int c <= 0.5 *. float_of_int (Asis.num_groups asis) +. 1e-9))
     counts
 
+let test_omega_survives_polish () =
+  (* Stage 1 enforces the spread; the final polish must keep it. *)
+  List.iter
+    (fun omega ->
+      for seed = 1 to 40 do
+        let asis = Fixtures.synthetic ~seed ~groups:14 ~targets:6 () in
+        let options = { Dr_planner.default_options with Dr_planner.omega = Some omega } in
+        let o = Dr_planner.plan ~options asis in
+        let counts = Array.make (Asis.num_targets asis) 0 in
+        Array.iter (fun j -> counts.(j) <- counts.(j) + 1)
+          o.Solver.placement.Placement.primary;
+        let worst = Array.fold_left max 0 counts in
+        if float_of_int worst > (omega *. 14.0) +. 1e-9 then
+          Alcotest.failf "seed %d, omega %.1f: %d primaries on one DC" seed
+            omega worst
+      done)
+    [ 0.3; 0.4; 0.5 ]
+
 let test_dr_cheaper_than_asis_dr () =
   (* The paper's headline DR claim, on a synthetic mid-size estate. *)
   let asis = Fixtures.synthetic ~seed:31 ~groups:30 ~targets:6 () in
@@ -125,6 +143,7 @@ let suite =
     Alcotest.test_case "two-stage near joint" `Slow test_two_stage_near_joint;
     Alcotest.test_case "dedicated backups" `Quick test_dedicated_backups_cost_more;
     Alcotest.test_case "omega in joint model" `Quick test_omega_in_joint;
+    Alcotest.test_case "omega survives the polish" `Quick test_omega_survives_polish;
     Alcotest.test_case "DR beats as-is strawman" `Quick test_dr_cheaper_than_asis_dr;
     Alcotest.test_case "pool capacity respected" `Quick test_backup_capacity_respected;
     QCheck_alcotest.to_alcotest prop_two_stage_feasible;

@@ -65,6 +65,202 @@ let test_local_search_respects_constraints () =
   let improved, _ = Local_search.improve asis start in
   Alcotest.(check int) "pinned group stays" 1 improved.Placement.primary.(0)
 
+(* The full-evaluation hill-climber that [Local_search.improve] replaced,
+   kept verbatim as the reference for its incremental screen: every
+   candidate is built as a plan, validated and recosted over the estate. *)
+let reference_improve ?(max_rounds = 6) ?(swaps = true)
+    ?(may_place = fun _ _ -> true) ?omega asis (plan : Placement.t) =
+  let plan_cost asis p = Evaluate.total (Evaluate.plan asis p).Evaluate.cost in
+  let feasible asis p = Placement.validate asis p = [] in
+  let m = Asis.num_groups asis and n = Asis.num_targets asis in
+  let omega_ok (p : Placement.t) =
+    match omega with
+    | None -> true
+    | Some w ->
+        let counts = Array.make n 0 in
+        Array.iter (fun j -> counts.(j) <- counts.(j) + 1) p.Placement.primary;
+        Array.for_all
+          (fun c -> float_of_int c <= (w *. float_of_int m) +. 1e-9)
+          counts
+  in
+  let current = ref plan in
+  let cost = ref (plan_cost asis plan) in
+  let moves = ref 0 in
+  let try_plan p' =
+    if feasible asis p' && omega_ok p' then begin
+      let c' = plan_cost asis p' in
+      if c' < !cost -. 1e-6 then begin
+        current := p';
+        cost := c';
+        incr moves;
+        true
+      end
+      else false
+    end
+    else false
+  in
+  let round () =
+    let improved = ref false in
+    (* Single-group reassignment of the primary site. *)
+    for i = 0 to m - 1 do
+      for j = 0 to n - 1 do
+        let p = !current in
+        if p.Placement.primary.(i) <> j
+           && App_group.allowed asis.Asis.groups.(i) j
+           && may_place i j
+        then begin
+          let primary = Array.copy p.Placement.primary in
+          primary.(i) <- j;
+          (* Keep the secondary distinct from the new primary. *)
+          let secondary =
+            match p.Placement.secondary with
+            | None -> None
+            | Some sec ->
+                let sec = Array.copy sec in
+                if sec.(i) = j then sec.(i) <- p.Placement.primary.(i);
+                Some sec
+          in
+          let p' = { p with Placement.primary; secondary } in
+          if try_plan p' then improved := true
+        end
+      done
+    done;
+    (* Secondary-site reassignment for DR plans. *)
+    (match !current.Placement.secondary with
+    | None -> ()
+    | Some _ ->
+        for i = 0 to m - 1 do
+          for j = 0 to n - 1 do
+            let p = !current in
+            match p.Placement.secondary with
+            | Some sec when sec.(i) <> j && p.Placement.primary.(i) <> j ->
+                let sec' = Array.copy sec in
+                sec'.(i) <- j;
+                let p' = { p with Placement.secondary = Some sec' } in
+                if try_plan p' then improved := true
+            | _ -> ()
+          done
+        done);
+    (* Pairwise swaps unstick capacity-tight instances. *)
+    if swaps then
+      for i = 0 to m - 1 do
+        for k = i + 1 to m - 1 do
+          let p = !current in
+          let ji = p.Placement.primary.(i) and jk = p.Placement.primary.(k) in
+          if ji <> jk
+             && App_group.allowed asis.Asis.groups.(i) jk
+             && App_group.allowed asis.Asis.groups.(k) ji
+             && may_place i jk && may_place k ji
+          then begin
+            let primary = Array.copy p.Placement.primary in
+            primary.(i) <- jk;
+            primary.(k) <- ji;
+            let p' = { p with Placement.primary } in
+            if try_plan p' then improved := true
+          end
+        done
+      done;
+    !improved
+  in
+  let rec loop r = if r > 0 && round () then loop (r - 1) in
+  loop max_rounds;
+  (!current, !moves)
+
+(* A seeded estate for the differential test: optionally with shared-risk
+   pairs, and optionally with target capacities cut to [headroom] times
+   the servers (shares kept, every site still fits the largest group). *)
+let differential_estate ~seed ~avoid ~headroom =
+  let asis =
+    Fixtures.synthetic ~seed ~groups:(10 + (seed mod 9)) ~targets:(4 + (seed mod 3)) ()
+  in
+  let m = Asis.num_groups asis in
+  let rng = Random.State.make [| seed |] in
+  let groups =
+    Array.mapi
+      (fun i (g : App_group.t) ->
+        if avoid && i mod 3 = 0 then
+          { g with App_group.colocate_avoid =
+                     [ (i + 1 + Random.State.int rng (m - 1)) mod m ] }
+        else g)
+      asis.Asis.groups
+  in
+  let targets =
+    match headroom with
+    | None -> asis.Asis.targets
+    | Some f ->
+        let total = float_of_int (Asis.total_servers asis) in
+        let cap = float_of_int (Asis.total_target_capacity asis) in
+        let largest =
+          Array.fold_left (fun a (g : App_group.t) -> max a g.App_group.servers) 0
+            groups
+        in
+        Array.map
+          (fun (dc : Data_center.t) ->
+            let share = float_of_int dc.Data_center.capacity /. cap in
+            { dc with Data_center.capacity =
+                        max largest (int_of_float (Float.ceil (f *. total *. share))) })
+          asis.Asis.targets
+  in
+  { asis with Asis.groups; targets }
+
+(* A random plan that ignores capacity and shared risk, so the search
+   starts infeasible more often than not. *)
+let random_plan asis rng ~dr =
+  let m = Asis.num_groups asis and n = Asis.num_targets asis in
+  let primary = Array.init m (fun _ -> Random.State.int rng n) in
+  if dr then
+    Placement.with_dr ~primary
+      ~secondary:(Array.map (fun a -> (a + 1 + Random.State.int rng (n - 1)) mod n) primary)
+      ()
+  else Placement.non_dr primary
+
+let test_local_search_matches_reference () =
+  let kinds = Array.make 6 0 in
+  for seed = 1 to 96 do
+    let asis =
+      differential_estate ~seed ~avoid:(seed mod 2 = 0)
+        ~headroom:(match seed mod 3 with 0 -> None | 1 -> Some 1.15 | _ -> Some 1.6)
+    in
+    let rng = Random.State.make [| seed; 7 |] in
+    let greedy f = try Some (f asis) with Failure _ -> None in
+    let dedicated (p : Placement.t) = { p with Placement.dedicated_backups = true } in
+    let starts =
+      [
+        greedy Greedy.plan;
+        greedy Greedy.plan_dr;
+        Option.map dedicated (greedy Greedy.plan_dr);
+        Some (random_plan asis rng ~dr:false);
+        Some (random_plan asis rng ~dr:true);
+        Some (dedicated (random_plan asis rng ~dr:true));
+      ]
+    in
+    List.iteri
+      (fun kind start ->
+        match start with
+        | None -> ()
+        | Some (start : Placement.t) ->
+            let swaps = seed mod 2 = 1 in
+            let omega = if seed mod 4 < 2 then None else Some 0.4 in
+            let may_place =
+              if seed mod 5 < 2 then fun _ _ -> true
+              else
+                let pinned = start.Placement.primary.(0) in
+                fun i j -> (i <> 0 || j = pinned) && not (i mod 4 = 1 && j = seed mod 3)
+            in
+            let expected = reference_improve ~swaps ~may_place ?omega asis start in
+            let got = Local_search.improve ~swaps ~may_place ?omega asis start in
+            if got <> expected then
+              Alcotest.failf "seed %d, start %d: %d moves, reference %d" seed kind
+                (snd got) (snd expected);
+            kinds.(kind) <- kinds.(kind) + snd got)
+      starts
+  done;
+  (* Every kind of start must actually move, or the comparison is vacuous. *)
+  Array.iteri
+    (fun kind moves ->
+      if moves = 0 then Alcotest.failf "start kind %d never moved" kind)
+    kinds
+
 let test_solver_optimal_small () =
   (* On the fixture the engine must land on the global optimum of the exact
      (flat-pricing) cost: compare against exhaustive search over plans. *)
@@ -115,6 +311,7 @@ let suite =
     Alcotest.test_case "local search monotone" `Quick test_local_search_improves_or_ties;
     Alcotest.test_case "local search repairs" `Quick test_local_search_fixes_bad_plan;
     Alcotest.test_case "local search respects constraints" `Quick test_local_search_respects_constraints;
+    Alcotest.test_case "local search matches full evaluation" `Quick test_local_search_matches_reference;
     Alcotest.test_case "optimal on fixture" `Quick test_solver_optimal_small;
     Alcotest.test_case "gap reported" `Quick test_gap_reported;
     QCheck_alcotest.to_alcotest prop_solver_never_worse_than_greedy;
