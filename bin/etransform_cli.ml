@@ -276,7 +276,7 @@ let batch_input =
 
 let batch_workers =
   Arg.(value & opt int 2
-       & info [ "workers" ] ~doc:"Worker domains (0 = solve inline).")
+       & info [ "workers" ] ~doc:"Jobs solved in parallel, one domain each (0 = solve inline).")
 
 let batch_queue =
   Arg.(value & opt int 64

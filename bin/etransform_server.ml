@@ -97,7 +97,7 @@ let addr =
 
 let workers =
   Arg.(value & opt int 2
-       & info [ "workers" ] ~doc:"Worker domains (0 = solve inline).")
+       & info [ "workers" ] ~doc:"Jobs solved in parallel, one domain each (0 = solve inline).")
 
 let queue =
   Arg.(value & opt int 64

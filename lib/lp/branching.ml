@@ -12,23 +12,18 @@ let strategy_of_string s =
   | "reliability" | "rel" -> Some Reliability
   | _ -> None
 
-(* Per-direction statistics are (sum, count) pairs of atomics rather
-   than in-place running means: a lock-free mean update needs a single
-   word to CAS, and a sum is monotone under concurrent adds where a
-   running mean is not.  Readers divide sum by count; both are
-   non-negative at every interleaving (per_unit is clamped into
-   [0, infeasible_degradation] before the add), so a torn read between
-   the two fetches can bias a mean but never produce NaN or a negative
-   pseudocost. *)
+(* Per-direction statistics are (sum, count) pairs; readers divide sum
+   by count.  per_unit is clamped into [0, infeasible_degradation] before
+   the add, so a mean is never NaN or negative. *)
 type t = {
   strategy : strategy;
   sb_nvars : int;
   sb_nsteps : int;
-  down : float Atomic.t array;  (* per-unit degradation sums, down branch *)
-  up : float Atomic.t array;
-  ndown : int Atomic.t array;
-  nup : int Atomic.t array;
-  nobs : int Atomic.t;
+  down : float array;  (* per-unit degradation sums, down branch *)
+  up : float array;
+  ndown : int array;
+  nup : int array;
+  mutable nobs : int;
 }
 
 let reliability_threshold = 4
@@ -39,19 +34,12 @@ let create ~nvars ~strategy ~sb_nvars ~sb_nsteps =
     strategy;
     sb_nvars = max 0 sb_nvars;
     sb_nsteps = max 0 sb_nsteps;
-    down = Array.init nvars (fun _ -> Atomic.make 0.0);
-    up = Array.init nvars (fun _ -> Atomic.make 0.0);
-    ndown = Array.init nvars (fun _ -> Atomic.make 0);
-    nup = Array.init nvars (fun _ -> Atomic.make 0);
-    nobs = Atomic.make 0;
+    down = Array.make nvars 0.0;
+    up = Array.make nvars 0.0;
+    ndown = Array.make nvars 0;
+    nup = Array.make nvars 0;
+    nobs = 0;
   }
-
-let atomic_add a v =
-  let rec go () =
-    let c = Atomic.get a in
-    if not (Atomic.compare_and_set a c (c +. v)) then go ()
-  in
-  go ()
 
 let observe t ~var ~up ~frac ~degradation =
   let dist = if up then 1.0 -. frac else frac in
@@ -60,17 +48,14 @@ let observe t ~var ~up ~frac ~degradation =
       Float.min infeasible_degradation (Float.max 0.0 degradation /. dist)
     in
     let a, n = if up then (t.up, t.nup) else (t.down, t.ndown) in
-    atomic_add a.(var) per_unit;
-    ignore (Atomic.fetch_and_add n.(var) 1);
-    ignore (Atomic.fetch_and_add t.nobs 1)
+    a.(var) <- a.(var) +. per_unit;
+    n.(var) <- n.(var) + 1;
+    t.nobs <- t.nobs + 1
   end
 
 let dir_stats sums counts var =
-  let c = Atomic.get counts.(var) in
-  (c, if c > 0 then Atomic.get sums.(var) /. float_of_int c else 0.0)
-
-let stats t ~var = (dir_stats t.down t.ndown var, dir_stats t.up t.nup var)
-let observations t = Atomic.get t.nobs
+  let c = counts.(var) in
+  (c, if c > 0 then sums.(var) /. float_of_int c else 0.0)
 
 let most_fractional int_ids tol x =
   let best = ref (-1) and score = ref tol in
@@ -112,7 +97,7 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
             match t.strategy with
             | Pseudocost -> nodes < t.sb_nsteps
             | Reliability ->
-                min (Atomic.get t.ndown.(j)) (Atomic.get t.nup.(j))
+                min t.ndown.(j) t.nup.(j)
                 < reliability_threshold
             | Most_fractional -> false
           in
@@ -132,7 +117,7 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
                 | None -> ()
               end)
             cands;
-          if Atomic.get t.nobs = 0 then
+          if t.nobs = 0 then
             let j, _, _ = List.hd cands in
             j
           else begin
@@ -142,9 +127,8 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
             let fold sums counts =
               Array.iteri
                 (fun j n ->
-                  let n = Atomic.get n in
                   if n > 0 then begin
-                    gsum := !gsum +. (Atomic.get sums.(j) /. float_of_int n);
+                    gsum := !gsum +. (sums.(j) /. float_of_int n);
                     incr gn
                   end)
                 counts
@@ -159,8 +143,8 @@ let select t ~int_ids ~tol ~x ~nodes ~probe =
               (fun (j, f, dist) ->
                 let _, dmean = dir_stats t.down t.ndown j in
                 let _, umean = dir_stats t.up t.nup j in
-                let dn = if Atomic.get t.ndown.(j) > 0 then dmean else gmean in
-                let up = if Atomic.get t.nup.(j) > 0 then umean else gmean in
+                let dn = if t.ndown.(j) > 0 then dmean else gmean in
+                let up = if t.nup.(j) > 0 then umean else gmean in
                 let score =
                   Float.max eps (dn *. f) *. Float.max eps (up *. (1.0 -. f))
                 in

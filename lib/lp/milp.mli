@@ -16,40 +16,24 @@
     solve per node whenever the warm path struggles, so statuses are
     unchanged and objectives agree to solver tolerance.
 
-    With [workers > 1] the tree search fans out over that many OCaml 5
-    domains under a work-stealing scheduler ({!Wsched}): each domain
-    owns a best-first deque, children go to the domain that solved the
-    parent (keeping warm-start basis chains local), and an idle domain
-    steals a victim's worst open node.  The incumbent is broadcast
-    lock-free through an [Atomic] with a monotonic compare-and-set, so
-    pruning always uses the freshest bound.  The fan-out is adaptive:
-    the search starts sequential and the helper domains are spawned only
-    once at least [par_threshold] nodes have been processed {e and} that
-    many are simultaneously pending — so small trees (the common
-    warm-started case) never pay domain spawn costs.  The returned
-    solution is still optimal whenever the sequential solver's is, but
-    the visit order — and therefore [nodes] and [lp_iterations] — may
-    differ run to run.  [workers = 1] is exactly the deterministic
-    sequential search.  Requested worker counts beyond
-    [Domain.recommended_domain_count ()] are clamped; the effective
-    count is reported in [result.workers]. *)
+    The tree search is sequential and deterministic: one best-first
+    frontier ({!Wsdeque}), nodes pruned against the incumbent when they
+    are popped.  A solve runs on the calling domain only; parallelism
+    belongs one level up, where the service pool solves independent jobs
+    on separate domains. *)
 
 type options = {
   node_limit : int;        (** maximum branch-and-bound nodes (default 5000) *)
   time_limit : float;
-      (** CPU-seconds budget ([Sys.time]), [infinity] = none.  Note that
-          with [workers > 1] CPU time accumulates across domains, so the
-          budget is consumed up to [workers] times faster than wall clock. *)
+      (** CPU-seconds budget ([Sys.time]), [infinity] = none.  [Sys.time]
+          is process CPU time, so every domain of the process advances
+          it: solves running concurrently on other domains (the service
+          pool's workers) consume this budget faster than wall clock. *)
   gap_tol : float;         (** stop when relative gap falls below this *)
   int_tol : float;         (** integrality tolerance on LP values *)
   dive_first : bool;       (** seed the incumbent by diving at the root *)
   warm_start : bool;
       (** reoptimize node LPs from the parent basis (default [true]) *)
-  workers : int;
-      (** domains searching the tree (default 1 = sequential) *)
-  par_threshold : int;
-      (** open-node / processed-node count both required before helper
-          domains actually spawn (default 64) *)
   presolve : bool;
       (** run {!Presolve} reductions on cold basis-free node LPs — the
           root and the dives — when the model is large enough (at least
@@ -89,24 +73,10 @@ type result = {
   nodes : int;             (** branch-and-bound nodes explored *)
   cuts : int;              (** cutting planes appended at the root *)
   lp_iterations : int;     (** total simplex iterations *)
-  workers : int;
-  (** effective worker-domain count after clamping the requested
-      [options.workers] to [Domain.recommended_domain_count ()] — the
-      observable form of the one-shot stderr clamp warning *)
 }
 
-(** [solve m] solves the model, honouring integrality marks on variables.
-
-    [steal_order] is a test seam forwarded to the work-stealing
-    scheduler (see {!Wsched.create}): it maps an idle worker and its
-    sweep round to the victim it should try to steal from, letting the
-    determinism suite script adversarial steal interleavings.  Leave it
-    unset for the default cyclic sweep. *)
-val solve :
-  ?options:options ->
-  ?steal_order:(thief:int -> round:int -> int) ->
-  Model.t ->
-  result
+(** [solve m] solves the model, honouring integrality marks on variables. *)
+val solve : ?options:options -> Model.t -> result
 
 (** [relax m] solves the LP relaxation only. *)
 val relax : ?max_iters:int -> ?core:Simplex.core -> Model.t -> Simplex.result

@@ -3,15 +3,14 @@
    Even tree levels (root = level 0) are min levels, odd levels are max
    levels: every node on a min level is <= all of its descendants, every
    node on a max level is >= all of its descendants.  The global minimum
-   therefore sits at index 0 and the global maximum at index 1 or 2,
-   giving O(1) peeks and O(log n) pops at both ends — exactly the shape
-   a work-stealing deque needs (owner pops min, thief pops max). *)
+   therefore sits at index 0: O(1) peek, O(log n) push and pop_min.
+   Only the minimum is ever popped; the min-max layout stays because it
+   fixes the order in which equal keys pop, and with it the order in
+   which the tree search visits nodes. *)
 
 type 'a t = { mutable data : (float * 'a) array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
-let length h = h.size
-let is_empty h = h.size = 0
 let key h i = fst h.data.(i)
 
 let swap h i j =
@@ -72,17 +71,16 @@ let push h ~key:k v =
   h.size <- h.size + 1;
   bubble_up h (h.size - 1)
 
-(* Index of the extreme element among the children and grandchildren of
-   [i] under comparison [better] (strictly-better-than), or [-1] when
-   [i] is a leaf. *)
-let extreme_descendant h better i =
+(* Index of the smallest element among the children and grandchildren of
+   [i] (and whether it is a grandchild), or [-1] when [i] is a leaf. *)
+let min_descendant h i =
   let n = h.size in
   let c1 = (2 * i) + 1 in
   if c1 >= n then (-1, false)
   else begin
     let best = ref c1 and grand = ref false in
     let consider j g =
-      if j < n && better (key h j) (key h !best) then begin
+      if j < n && key h j < key h !best then begin
         best := j;
         grand := g
       end
@@ -96,22 +94,19 @@ let extreme_descendant h better i =
     (!best, !grand)
   end
 
-let rec trickle_down h better i =
-  match extreme_descendant h better i with
+let rec trickle_down h i =
+  match min_descendant h i with
   | -1, _ -> ()
   | m, grand ->
       if grand then begin
-        if better (key h m) (key h i) then begin
+        if key h m < key h i then begin
           swap h m i;
           let p = (m - 1) / 2 in
-          if better (key h p) (key h m) then swap h m p;
-          trickle_down h better m
+          if key h p < key h m then swap h m p;
+          trickle_down h m
         end
       end
-      else if better (key h m) (key h i) then swap h m i
-
-let lt a b = a < b
-let gt a b = a > b
+      else if key h m < key h i then swap h m i
 
 let pop_min h =
   if h.size = 0 then None
@@ -120,25 +115,9 @@ let pop_min h =
     h.size <- h.size - 1;
     if h.size > 0 then begin
       h.data.(0) <- h.data.(h.size);
-      trickle_down h lt 0
+      trickle_down h 0
     end;
     Some top
-  end
-
-let max_index h =
-  if h.size <= 1 then 0 else if h.size = 2 then 1 else if key h 1 >= key h 2 then 1 else 2
-
-let pop_max h =
-  if h.size = 0 then None
-  else begin
-    let i = max_index h in
-    let out = h.data.(i) in
-    h.size <- h.size - 1;
-    if i < h.size then begin
-      h.data.(i) <- h.data.(h.size);
-      trickle_down h gt i
-    end;
-    Some out
   end
 
 let min_key h = if h.size = 0 then None else Some (key h 0)

@@ -1,27 +1,17 @@
-(** Double-ended priority queue for work-stealing search.
+(** The best-first frontier of the branch-and-bound tree search.
 
-    A min-max interval heap keyed by [float]: the owner of a deque pops
-    its best node ({!pop_min}, lowest key = best bound for a minimizing
-    branch-and-bound), while a thief steals from the other end
-    ({!pop_max}, the victim's worst open node — deep subtrees the victim
-    would reach last, which keeps steals cheap and non-overlapping with
-    the owner's working set).
-
-    Not thread-safe by itself: {!Wsched} wraps each deque in a per-owner
-    mutex (owners block, thieves trylock). *)
+    A min-max interval heap keyed by [float]: {!Milp} pushes open nodes
+    under their parent's objective key (lower = better bound) and pops
+    the best one with {!pop_min}; after a node or time limit {!min_key}
+    is the best bound left open.  Not thread-safe. *)
 
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> key:float -> 'a -> unit
 
 (** Remove the entry with the smallest key (ties broken arbitrarily). *)
 val pop_min : 'a t -> (float * 'a) option
-
-(** Remove the entry with the largest key (ties broken arbitrarily). *)
-val pop_max : 'a t -> (float * 'a) option
 
 (** Smallest key present without removing it. *)
 val min_key : 'a t -> float option

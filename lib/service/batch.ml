@@ -97,7 +97,6 @@ let milp_of_json j =
       let* node_limit = int_opt "nodes" in
       let* time_limit = float_opt "time" in
       let* gap_tol = float_opt "gap" in
-      let* workers = int_opt "workers" in
       let* branching =
         match Json.member "branching" mj with
         | None | Some Json.Null -> Ok None
@@ -111,7 +110,7 @@ let milp_of_json j =
       in
       let* pump = bool_opt "pump" in
       let* cuts = bool_opt "cuts" in
-      Ok { Job.node_limit; time_limit; gap_tol; workers; branching; pump; cuts }
+      Ok { Job.node_limit; time_limit; gap_tol; branching; pump; cuts }
 
 let scenario_of_json j =
   match Json.member "scenario" j with

@@ -7,7 +7,7 @@
      "estate":{"kind":"dataset","name":"enterprise1","scale":1.0},
      "dr":false, "eos":false, "fixed_charges":false,
      "omega":0.5, "reserve":0.3, "dr_server_cost":100.0,
-     "milp":{"nodes":24,"time":60.0,"gap":0.005,"workers":1},
+     "milp":{"nodes":24,"time":60.0,"gap":0.005},
      "deadline_s":10.0, "degrade":true}
     v}
 

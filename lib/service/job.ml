@@ -12,7 +12,6 @@ type milp_overrides = {
   node_limit : int option;
   time_limit : float option;
   gap_tol : float option;
-  workers : int option;
   branching : Lp.Branching.strategy option;
   pump : bool option;
   cuts : bool option;
@@ -23,7 +22,6 @@ let no_overrides =
     node_limit = None;
     time_limit = None;
     gap_tol = None;
-    workers = None;
     branching = None;
     pump = None;
     cuts = None;
@@ -111,7 +109,6 @@ let canonical job =
       "nodes=" ^ opt string_of_int job.milp.node_limit;
       "time=" ^ opt fl job.milp.time_limit;
       "gap=" ^ opt fl job.milp.gap_tol;
-      "workers=" ^ opt string_of_int job.milp.workers;
       "branch=" ^ opt Lp.Branching.strategy_to_string job.milp.branching;
       "pump=" ^ opt string_of_bool job.milp.pump;
       "cuts=" ^ opt string_of_bool job.milp.cuts;
@@ -182,7 +179,6 @@ let milp_options job =
     time_limit =
       Option.value job.milp.time_limit ~default:base.Lp.Milp.time_limit;
     gap_tol = Option.value job.milp.gap_tol ~default:base.Lp.Milp.gap_tol;
-    workers = Option.value job.milp.workers ~default:base.Lp.Milp.workers;
     branch_strategy =
       Option.value job.milp.branching ~default:base.Lp.Milp.branch_strategy;
     pump = Option.value job.milp.pump ~default:base.Lp.Milp.pump;

@@ -35,7 +35,6 @@ type milp_overrides = {
   node_limit : int option;
   time_limit : float option;
   gap_tol : float option;
-  workers : int option;
   branching : Lp.Branching.strategy option;  (** branch-variable selection *)
   pump : bool option;      (** feasibility pump at the root *)
   cuts : bool option;      (** Gomory / cover cuts at the root *)

@@ -24,20 +24,16 @@ type ticket = {
 
 type task = { tjob : Job.t; submitted : float; ticket : ticket }
 
-(* Tasks live in the same work-stealing scheduler the MILP tree search
-   runs on ([Lp.Wsched], [finite:false] so idle workers park until
-   shutdown, [drain:true] so shutdown serves the backlog).  Submission
-   order is the priority key and jobs are dealt round-robin across the
-   per-worker deques, so each worker owns a disjoint slice of the queue
-   (no shared-queue convoy) and an idle worker steals the *latest*
-   submission from a loaded neighbour — the job whose owner would reach
-   it last. *)
+(* Tasks wait in one FIFO queue under [m]: workers block on [not_empty],
+   submitters on [not_full].  Once [closed] is set, workers still drain
+   the queue and exit only when it is empty, so every accepted ticket
+   resolves. *)
 type t = {
   workers : int;
-  sched : task Lp.Wsched.t;
-  seq : int Atomic.t;
+  queue : task Queue.t;
   queue_capacity : int;
   m : Mutex.t;
+  not_empty : Condition.t;
   not_full : Condition.t;
   mutable closed : bool;
   mutable domains : unit Domain.t array;
@@ -252,15 +248,22 @@ let on_complete ticket f =
       ticket.hooks <- f :: ticket.hooks;
       Mutex.unlock ticket.tm
 
-let worker_loop t who () =
+(* The next task, or [None] once the pool is closed and drained. *)
+let take t =
+  Mutex.lock t.m;
+  while Queue.is_empty t.queue && not t.closed do
+    Condition.wait t.not_empty t.m
+  done;
+  let task = Queue.take_opt t.queue in
+  if task <> None then Condition.signal t.not_full;
+  Mutex.unlock t.m;
+  task
+
+let worker_loop t () =
   let rec loop () =
-    match Lp.Wsched.next t.sched ~who with
-    | Lp.Wsched.Done | Lp.Wsched.Stopped -> ()
-    | Lp.Wsched.Work (_, task) ->
-        (* The task left the deques: free a capacity slot. *)
-        Mutex.lock t.m;
-        Condition.signal t.not_full;
-        Mutex.unlock t.m;
+    match take t with
+    | None -> ()
+    | Some task ->
         let r =
           try run_task ~tiered:t.tiered ~trace:t.trace task
           with exn ->
@@ -279,7 +282,6 @@ let worker_loop t who () =
             }
         in
         resolve task.ticket r;
-        Lp.Wsched.done_one t.sched;
         loop ()
   in
   loop ()
@@ -299,11 +301,10 @@ let create ?(workers = 2) ?(queue_capacity = 64) ?(cache_capacity = 256)
   let t =
     {
       workers;
-      sched =
-        Lp.Wsched.create ~workers:(max 1 workers) ~finite:false ~drain:true ();
-      seq = Atomic.make 0;
+      queue = Queue.create ();
       queue_capacity = max 1 queue_capacity;
       m = Mutex.create ();
+      not_empty = Condition.create ();
       not_full = Condition.create ();
       closed = false;
       domains = [||];
@@ -313,7 +314,7 @@ let create ?(workers = 2) ?(queue_capacity = 64) ?(cache_capacity = 256)
   in
   if t.workers > 0 then
     t.domains <-
-      Array.init t.workers (fun i -> Domain.spawn (worker_loop t i));
+      Array.init t.workers (fun _ -> Domain.spawn (worker_loop t));
   t
 
 let workers t = t.workers
@@ -322,13 +323,22 @@ let cache t = Tiered.lru t.tiered
 let tiered t = t.tiered
 let trace t = t.trace
 
-let queue_depth t = Lp.Wsched.queued t.sched
+let queue_depth t =
+  Mutex.lock t.m;
+  let n = Queue.length t.queue in
+  Mutex.unlock t.m;
+  n
 
 let fresh_task job =
   let ticket =
     { tm = Mutex.create (); tc = Condition.create (); res = None; hooks = [] }
   in
   { tjob = job; submitted = now (); ticket }
+
+(* Under [m], with room in the queue. *)
+let enqueue t task =
+  Queue.push task t.queue;
+  Condition.signal t.not_empty
 
 let submit t job =
   let task = fresh_task job in
@@ -338,18 +348,14 @@ let submit t job =
   end
   else begin
     Mutex.lock t.m;
-    while Lp.Wsched.queued t.sched >= t.queue_capacity && not t.closed do
+    while Queue.length t.queue >= t.queue_capacity && not t.closed do
       Condition.wait t.not_full t.m
     done;
     if t.closed then begin
       Mutex.unlock t.m;
       invalid_arg "Pool.submit: pool is shut down"
     end;
-    (* The submission sequence number doubles as the best-first key, so
-       owners serve their slices in submission order, and as the deal:
-       job [k] lands on worker [k mod workers]. *)
-    let k = Atomic.fetch_and_add t.seq 1 in
-    Lp.Wsched.push t.sched ~who:(k mod t.workers) ~key:(float_of_int k) task;
+    enqueue t task;
     Mutex.unlock t.m
   end;
   task.ticket
@@ -363,14 +369,12 @@ let try_submit t job =
       Mutex.unlock t.m;
       invalid_arg "Pool.try_submit: pool is shut down"
     end;
-    if Lp.Wsched.queued t.sched >= t.queue_capacity then begin
+    if Queue.length t.queue >= t.queue_capacity then begin
       Mutex.unlock t.m;
       None
     end
     else begin
-      let k = Atomic.fetch_and_add t.seq 1 in
-      Lp.Wsched.push t.sched ~who:(k mod t.workers) ~key:(float_of_int k)
-        task;
+      enqueue t task;
       Mutex.unlock t.m;
       Some task.ticket
     end
@@ -427,11 +431,10 @@ let shutdown t =
   let was_closed = t.closed in
   t.closed <- true;
   Condition.broadcast t.not_full;
+  Condition.broadcast t.not_empty;
   Mutex.unlock t.m;
   if not was_closed then begin
-    (* Drain-mode stop: workers finish everything already queued (every
-       accepted ticket resolves), then observe Stopped and exit. *)
-    Lp.Wsched.stop t.sched;
+    (* Workers finish everything already queued, then exit. *)
     Array.iter Domain.join t.domains;
     t.domains <- [||]
   end

@@ -1,5 +1,5 @@
-(** Concurrent planning pool: a bounded job queue drained by OCaml 5
-    domains, fronted by the content-addressed {!Cache} and instrumented
+(** Concurrent planning pool: a bounded FIFO job queue drained by OCaml 5
+    domains, each solving one job at a time, fronted by the content-addressed {!Cache} and instrumented
     through {!Trace}.
 
     Submitting a {!Job.t} yields a ticket; {!await} blocks until the job
@@ -118,8 +118,7 @@ val shutdown : t -> unit
     [Domain.recommended_domain_count ()], printing a one-line [what]-tagged
     warning on stderr when it clamps.  Oversubscribing domains on a
     machine with fewer cores only adds scheduler thrash — front-end flags
-    ([--workers]) should pass through here before reaching a pool or
-    {!Lp.Milp.options}. *)
+    ([--workers]) should pass through here before reaching a pool. *)
 val clamp_workers : what:string -> int -> int
 
 (** [with_pool f] runs [f] over a fresh pool and always shuts it down. *)

@@ -1,7 +1,6 @@
 let () =
   Alcotest.run "etransform"
     [
-      ("wsched", Test_wsched.suite);
       ("simplex", Test_simplex.suite);
       ("milp", Test_milp.suite);
       ("lp-format", Test_lp_format.suite);

@@ -310,134 +310,64 @@ let test_warm_matches_cold () =
   done;
   Alcotest.(check bool) "some instances branched" true (!trees > 0)
 
-let test_parallel_matches_sequential () =
-  let rng = Datasets.Prng.create 7_777 in
-  for case = 1 to 12 do
-    let m = random_gap rng in
-    let seq =
-      Milp.solve
-        ~options:{ Milp.default_options with Milp.dive_first = false }
-        m
-    in
-    Alcotest.(check int) "sequential effective workers" 1 seq.Milp.workers;
-    List.iter
-      (fun w ->
-        let par =
-          Milp.solve
-            ~options:
-              { Milp.default_options with Milp.workers = w;
-                dive_first = false }
-            m
-        in
-        agree (Printf.sprintf "case %d w%d" case w) seq par)
-      [ 2; 4 ]
-  done
-
-let test_effective_workers_reported () =
-  (* The worker clamp used to be observable only as a one-shot stderr
-     line; now the result reports the effective domain count. *)
-  let rng = Datasets.Prng.create 11 in
-  let m = random_gap rng in
-  let avail = Domain.recommended_domain_count () in
-  List.iter
-    (fun requested ->
-      let r =
-        Milp.solve
-          ~options:{ Milp.default_options with Milp.workers = requested }
-          m
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "requested %d" requested)
-        (min requested avail) r.Milp.workers)
-    [ 1; 2; 64 ]
-
-let test_deadline_always_joins () =
-  (* Every run with a zero / near-zero deadline must terminate and join
-     all of its domains — no hang, no leaked domain.  If a domain leaked,
-     the raised count would show up here as a stuck process or a crash at
-     program exit; we also assert the result is well-formed. *)
+let test_zero_deadline () =
+  (* A zero or near-zero deadline must still terminate with a
+     well-formed result. *)
   let rng = Datasets.Prng.create 31_337 in
   for case = 1 to 3 do
     let m = random_gap rng in
     List.iter
-      (fun w ->
-        List.iter
-          (fun deadline ->
-            let r =
-              Milp.solve
-                ~options:
-                  { Milp.default_options with
-                    Milp.workers = w;
-                    time_limit = deadline }
-                m
-            in
-            let name =
-              Printf.sprintf "case %d w%d deadline %g" case w deadline
-            in
-            (match r.Milp.status with
-            | Status.Optimal | Status.Feasible | Status.Time_limit
-            | Status.Node_limit | Status.Infeasible | Status.Iteration_limit
-              ->
-                ()
-            | s ->
-                Alcotest.failf "%s: unexpected status %s" name
-                  (Status.to_string s));
-            Alcotest.(check bool)
-              (name ^ ": workers reported") true (r.Milp.workers >= 1))
-          [ 0.0; 1e-9; 1e-4 ])
-      [ 1; 2; 4 ]
+      (fun deadline ->
+        let r =
+          Milp.solve
+            ~options:{ Milp.default_options with Milp.time_limit = deadline }
+            m
+        in
+        match r.Milp.status with
+        | Status.Optimal | Status.Feasible | Status.Time_limit
+        | Status.Node_limit | Status.Infeasible | Status.Iteration_limit ->
+            ()
+        | s ->
+            Alcotest.failf "case %d deadline %g: unexpected status %s" case
+              deadline (Status.to_string s))
+      [ 0.0; 1e-9; 1e-4 ]
   done
 
-let test_branching_domain_safety () =
-  (* Two domains hammer one pseudocost table while this thread reads it:
-     every stat snapshot must be finite and non-negative at every
-     interleaving, and the final accumulators must account for every
-     observation exactly (nothing lost to a torn read-modify-write). *)
-  let nvars = 32 in
-  let per_domain = 20_000 in
-  let t =
-    Branching.create ~nvars ~strategy:Branching.Reliability ~sb_nvars:0
-      ~sb_nsteps:0
-  in
-  let worker seed () =
-    let rng = Datasets.Prng.create seed in
-    for _ = 1 to per_domain do
-      let var = Datasets.Prng.int rng nvars in
-      let up = Datasets.Prng.int rng 2 = 0 in
-      let frac = Datasets.Prng.range rng 0.05 0.95 in
-      let degradation = Datasets.Prng.range rng 0.0 5.0 in
-      Branching.observe t ~var ~up ~frac ~degradation
-    done
-  in
-  let d1 = Domain.spawn (worker 1) and d2 = Domain.spawn (worker 2) in
-  let ok = ref true in
-  while Branching.observations t < 2 * per_domain do
-    for var = 0 to nvars - 1 do
-      let (nd, md), (nu, mu) = Branching.stats t ~var in
-      if
-        nd < 0 || nu < 0
-        || (not (Float.is_finite md))
-        || (not (Float.is_finite mu))
-        || md < 0.0 || mu < 0.0
-      then ok := false
-    done
-  done;
-  Domain.join d1;
-  Domain.join d2;
-  Alcotest.(check bool) "no NaN/negative pseudocost observed" true !ok;
-  Alcotest.(check int) "no observation lost" (2 * per_domain)
-    (Branching.observations t);
-  let counted = ref 0 in
-  for var = 0 to nvars - 1 do
-    let (nd, md), (nu, mu) = Branching.stats t ~var in
-    counted := !counted + nd + nu;
-    Alcotest.(check bool)
-      (Printf.sprintf "var %d means sane" var)
-      true
-      (md >= 0.0 && mu >= 0.0 && Float.is_finite md && Float.is_finite mu)
-  done;
-  Alcotest.(check int) "per-var counts account for every observation"
-    (2 * per_domain) !counted
+(* Random interleavings of push/pop_min against a sorted-list multiset
+   model of the tree frontier.  Only keys are compared: entries with
+   equal keys may surface in any order. *)
+let test_deque_model () =
+  let rng = Datasets.Prng.create 0xD0E5 in
+  for _ = 1 to 50 do
+    let q = Wsdeque.create () in
+    let model = ref [] in
+    for _ = 1 to 200 do
+      match Datasets.Prng.int rng 4 with
+      | 0 | 1 ->
+          let k = float_of_int (Datasets.Prng.int rng 20) in
+          Wsdeque.push q ~key:k ();
+          model := List.sort compare (k :: !model)
+      | _ -> (
+          Alcotest.(check (option (float 0.0)))
+            "min_key matches model"
+            (match !model with [] -> None | m :: _ -> Some m)
+            (Wsdeque.min_key q);
+          match (Wsdeque.pop_min q, !model) with
+          | None, [] -> ()
+          | Some (k, ()), m :: rest ->
+              Alcotest.(check (float 0.0)) "min matches model" m k;
+              model := rest
+          | Some _, [] -> Alcotest.fail "pop_min from empty model"
+          | None, _ -> Alcotest.fail "pop_min lost an entry")
+    done;
+    List.iter
+      (fun m ->
+        match Wsdeque.pop_min q with
+        | Some (k, ()) -> Alcotest.(check (float 0.0)) "drain min" m k
+        | None -> Alcotest.fail "drain lost an entry")
+      !model;
+    Alcotest.(check bool) "drained" true (Wsdeque.pop_min q = None)
+  done
 
 let test_pump_cycle_terminates () =
   (* Crafted cycling instance: 2x + 2y = 1 over binaries has a fractional
@@ -509,14 +439,9 @@ let suite =
       test_pump_cycle_terminates;
     Alcotest.test_case "warm start matches cold start" `Quick
       test_warm_matches_cold;
-    Alcotest.test_case "parallel matches sequential" `Quick
-      test_parallel_matches_sequential;
-    Alcotest.test_case "effective workers reported" `Quick
-      test_effective_workers_reported;
     Alcotest.test_case "zero deadline still joins all domains" `Quick
-      test_deadline_always_joins;
-    Alcotest.test_case "branching stats domain-safe" `Quick
-      test_branching_domain_safety;
+      test_zero_deadline;
+    Alcotest.test_case "wsdeque: multiset model" `Quick test_deque_model;
     q prop_knapsack_matches_brute_force;
     q prop_assignment_matches_brute_force;
   ]

@@ -227,6 +227,21 @@ let test_fingerprint_ignores_delivery () =
   Alcotest.(check bool) "dr included" true
     (Service.Job.fingerprint base <> Service.Job.fingerprint dr)
 
+let test_fingerprint_ignores_milp_workers () =
+  (* The solver has no worker count, so a legacy "workers" key is an
+     unknown field like any other and must not split the cache. *)
+  let plain =
+    parse_job
+      {|{"id":"a","estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20}}|}
+  in
+  let with_workers =
+    parse_job
+      {|{"id":"a","estate":{"kind":"line","n_groups":12,"penalty":40,"frac_at_0":0.25},"milp":{"nodes":2,"time":20,"workers":2}}|}
+  in
+  Alcotest.(check string) "workers ignored"
+    (Service.Job.fingerprint plain)
+    (Service.Job.fingerprint with_workers)
+
 (* ----------------------------------------------------------------- cache *)
 
 let test_cache_eviction () =
@@ -304,7 +319,7 @@ let test_pool_parallel_equals_sequential () =
   | None -> Alcotest.fail "first job has no outcome"
 
 let test_pool_thousand_tiny_jobs () =
-  (* Stress the work-stealing pool: 1000 tiny jobs through 4 worker
+  (* Stress the pool: 1000 tiny jobs through 4 worker
      domains.  Every ticket must resolve, results must come back in
      submission order, and nothing may be dropped or duplicated.  The
      jobs cycle through 8 distinct specs, so the plan cache carries most
@@ -344,6 +359,35 @@ let test_pool_thousand_tiny_jobs () =
   in
   Alcotest.(check bool) "cache did the heavy lifting" true
     (hits >= n - (2 * Array.length configs))
+
+let test_shutdown_drains_backlog () =
+  (* Shutdown right after a burst of submissions: the single worker is
+     still busy with the first job, yet every accepted ticket must
+     resolve before shutdown returns, in submission order, and the
+     closed pool must refuse new work. *)
+  let n = 24 in
+  let jobs =
+    List.init n (fun i ->
+        let base = small_job (if i mod 2 = 0 then 0.0 else 40.0) 0.5 in
+        { base with Service.Job.id = Printf.sprintf "job-%d" i })
+  in
+  Service.Pool.with_pool ~workers:1 ~queue_capacity:n (fun pool ->
+      let tickets = List.map (Service.Pool.submit pool) jobs in
+      Service.Pool.shutdown pool;
+      List.iteri
+        (fun i ticket ->
+          match Service.Pool.poll ticket with
+          | Some r ->
+              Alcotest.(check string)
+                (Printf.sprintf "ticket %d" i)
+                (Printf.sprintf "job-%d" i)
+                r.Service.Pool.job.Service.Job.id
+          | None -> Alcotest.failf "ticket %d unresolved after shutdown" i)
+        tickets;
+      Alcotest.(check int) "queue empty" 0 (Service.Pool.queue_depth pool);
+      match Service.Pool.submit pool (List.hd jobs) with
+      | _ -> Alcotest.fail "submit after shutdown accepted"
+      | exception Invalid_argument _ -> ())
 
 let test_cache_hit_on_repeat () =
   let trace = Service.Trace.memory () in
@@ -563,4 +607,8 @@ let suite =
       test_service_engine_warm_starts;
     Alcotest.test_case "batch: NDJSON stream alignment" `Slow
       test_batch_stream_alignment;
+    Alcotest.test_case "fingerprint: milp.workers ignored" `Quick
+      test_fingerprint_ignores_milp_workers;
+    Alcotest.test_case "pool: shutdown drains the backlog" `Quick
+      test_shutdown_drains_backlog;
   ]
