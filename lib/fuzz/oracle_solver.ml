@@ -165,6 +165,65 @@ let presolve_equivalence spec =
     | errs ->
         failf "postsolved certificate rejected: %s" (String.concat "; " errs)
 
+(* ----------------------------------------------- factor reuse oracle *)
+
+(* Two successive box tightenings, each re-solved warm both from the
+   basis as exported (which carries the sparse factorization of these
+   rows) and from the same basis with the factor stripped (which forces a
+   refactorization): both answers must certify against the tightened LP
+   and agree on status and objective.  Each step halves the distance to
+   the lower bound of the variable sitting farthest above it. *)
+let warm_factor_reuse spec =
+  let input = Lp.Simplex.of_model (Gen_lp.to_model spec) in
+  let tighten (inp : Lp.Simplex.input) (r : Lp.Simplex.result) =
+    let best = ref (-1) and gap = ref 1e-6 in
+    Array.iteri
+      (fun j lo ->
+        let d = r.Lp.Simplex.x.(j) -. lo in
+        if d > !gap then begin
+          best := j;
+          gap := d
+        end)
+      inp.Lp.Simplex.lo;
+    if !best < 0 then None
+    else begin
+      let hi = Array.copy inp.Lp.Simplex.hi in
+      hi.(!best) <- inp.Lp.Simplex.lo.(!best) +. (!gap /. 2.0);
+      Some { inp with Lp.Simplex.hi }
+    end
+  in
+  let certified tag inp (r : Lp.Simplex.result) =
+    match Lp.Simplex.check_certificate inp r with
+    | [] -> Ok ()
+    | errs -> failf "%s certificate rejected: %s" tag (String.concat "; " errs)
+  in
+  let rec step k inp (r : Lp.Simplex.result) =
+    match (r.Lp.Simplex.status, r.Lp.Simplex.basis) with
+    | Lp.Status.Optimal, Some b when k > 0 -> (
+        match tighten inp r with
+        | None -> Ok ()
+        | Some inp' -> (
+            let c = Lp.Simplex.solve ~warm:b inp' in
+            let s =
+              Lp.Simplex.solve ~warm:{ b with Lp.Simplex.factor = None } inp'
+            in
+            if c.Lp.Simplex.status <> s.Lp.Simplex.status then
+              failf "status disagrees: carried %s, stripped %s"
+                (Lp.Status.to_string c.Lp.Simplex.status)
+                (Lp.Status.to_string s.Lp.Simplex.status)
+            else if c.Lp.Simplex.status <> Lp.Status.Optimal then Ok ()
+            else if not (close c.Lp.Simplex.obj_value s.Lp.Simplex.obj_value)
+            then
+              failf "objective disagrees: carried %g, stripped %g"
+                c.Lp.Simplex.obj_value s.Lp.Simplex.obj_value
+            else
+              match (certified "carried" inp' c, certified "stripped" inp' s) with
+              | Ok (), Ok () -> step (k - 1) inp' c
+              | (Error _ as e), _ | _, (Error _ as e) -> e))
+    | _ -> Ok ()
+  in
+  step 2 input (Lp.Simplex.solve ~want_basis:true input)
+
 (* ------------------------------------- cross-configuration MILP oracle *)
 
 let milp_config_equivalence spec =
@@ -327,6 +386,8 @@ let props =
       core_equivalence;
     prop ~count:70 ~smoke_count:14 "presolve_equivalence" Gen_lp.arb_lp_bounded
       presolve_equivalence;
+    prop ~count:70 ~smoke_count:14 "warm_factor_reuse" Gen_lp.arb_lp_bounded
+      warm_factor_reuse;
     prop ~count:40 ~smoke_count:8 "milp_config_equivalence"
       Gen_lp.arb_milp_mixed milp_config_equivalence;
     prop ~count:4 ~smoke_count:1 "pool_workers_equivalence" arb_pool_case

@@ -23,75 +23,6 @@ let apply (input : Simplex.input) cuts =
   in
   (input', undo)
 
-(* ---------- dense LU over the basis transpose ---------- *)
-
-(* Factor M (row-major m*m) in place with partial pivoting; returns the
-   row permutation, or None when a pivot collapses (singular basis as
-   seen through this dense lens: bail out of Gomory separation). *)
-let lu_factor m a =
-  let perm = Array.init m (fun i -> i) in
-  let ok = ref true in
-  (try
-     for k = 0 to m - 1 do
-       let piv = ref k and pmax = ref (Float.abs a.((k * m) + k)) in
-       for i = k + 1 to m - 1 do
-         let v = Float.abs a.((i * m) + k) in
-         if v > !pmax then begin
-           pmax := v;
-           piv := i
-         end
-       done;
-       if !pmax < 1e-11 then begin
-         ok := false;
-         raise Exit
-       end;
-       if !piv <> k then begin
-         let tmp = perm.(k) in
-         perm.(k) <- perm.(!piv);
-         perm.(!piv) <- tmp;
-         for j = 0 to m - 1 do
-           let t = a.((k * m) + j) in
-           a.((k * m) + j) <- a.((!piv * m) + j);
-           a.((!piv * m) + j) <- t
-         done
-       end;
-       let d = a.((k * m) + k) in
-       for i = k + 1 to m - 1 do
-         let f = a.((i * m) + k) /. d in
-         if f <> 0.0 then begin
-           a.((i * m) + k) <- f;
-           for j = k + 1 to m - 1 do
-             a.((i * m) + j) <- a.((i * m) + j) -. (f *. a.((k * m) + j))
-           done
-         end
-         else a.((i * m) + k) <- 0.0
-       done
-     done
-   with Exit -> ());
-  if !ok then Some perm else None
-
-(* Solve M w = e_r given the in-place LU and permutation. *)
-let lu_solve_unit m a perm r =
-  let w = Array.make m 0.0 in
-  for i = 0 to m - 1 do
-    w.(i) <- (if perm.(i) = r then 1.0 else 0.0)
-  done;
-  for i = 0 to m - 1 do
-    let s = ref w.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (a.((i * m) + j) *. w.(j))
-    done;
-    w.(i) <- !s
-  done;
-  for i = m - 1 downto 0 do
-    let s = ref w.(i) in
-    for j = i + 1 to m - 1 do
-      s := !s -. (a.((i * m) + j) *. w.(j))
-    done;
-    w.(i) <- !s /. a.((i * m) + i)
-  done;
-  w
-
 (* ---------- Gomory mixed-integer cuts ---------- *)
 
 let near_integral v = Float.abs (v -. Float.round v) <= 1e-9
@@ -105,7 +36,8 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
       let m = Array.length rows and n = input.Simplex.nvars in
       (* Mirror the frame's slack layout. *)
       let slack_col = Array.make m (-1) in
-      let srow = ref [] in
+      (* slack_row.(k) = row of slack column n + k *)
+      let slack_row = Array.make m (-1) in
       let next = ref n in
       Array.iteri
         (fun i (_, s, _) ->
@@ -113,12 +45,10 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
           | Model.Eq -> ()
           | Model.Le | Model.Ge ->
               slack_col.(i) <- !next;
-              srow := (!next, i) :: !srow;
+              slack_row.(!next - n) <- i;
               incr next)
         rows;
       let art0 = !next in
-      let row_of_slack = Hashtbl.create 16 in
-      List.iter (fun (c, i) -> Hashtbl.add row_of_slack c i) !srow;
       let sigma i =
         match rows.(i) with _, Model.Le, _ -> 1.0 | _ -> -1.0
       in
@@ -128,30 +58,9 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
         || Array.exists (fun c -> c < 0 || c >= art0) b.Simplex.vbasis
       then []
       else begin
-        (* pos.(j) = basis row of structural j, or -1. *)
-        let pos = Array.make n (-1) in
-        Array.iteri
-          (fun i c -> if c < n then pos.(c) <- i)
-          b.Simplex.vbasis;
-        (* M = Bᵀ: M.(i*m+k) = entry of basis column i at row k. *)
-        let mt = Array.make (m * m) 0.0 in
-        Array.iteri
-          (fun k (terms, _, _) ->
-            Array.iter
-              (fun (j, c) ->
-                if j < n && pos.(j) >= 0 then
-                  mt.((pos.(j) * m) + k) <- mt.((pos.(j) * m) + k) +. c)
-              terms)
-          rows;
-        Array.iteri
-          (fun i c ->
-            if c >= n && c < art0 then
-              let k = Hashtbl.find row_of_slack c in
-              mt.((i * m) + k) <- mt.((i * m) + k) +. sigma k)
-          b.Simplex.vbasis;
-        match lu_factor m mt with
+        match Simplex.inverse_rows input b with
         | None -> []
-        | Some perm ->
+        | Some (basic, binv_row) ->
             let rhs = Array.map (fun (_, _, v) -> v) rows in
             (* Candidate tableau rows: basic structural integer variable
                with a decently interior fractional part. *)
@@ -165,7 +74,7 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
                   if dist > Float.max 0.005 int_tol then
                     cands := (i, c, dist) :: !cands
                 end)
-              b.Simplex.vbasis;
+              basic;
             let cands =
               List.sort
                 (fun (_, a, da) (_, b, db) ->
@@ -176,7 +85,7 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
             List.iter
               (fun (ri, jb, _) ->
                 if !ncuts < max_cuts then begin
-                  let w = lu_solve_unit m mt perm ri in
+                  let w = binv_row ri in
                   (* Tableau row over all columns: abar_j = w · A_j. *)
                   let abar = Array.make art0 0.0 in
                   Array.iteri
@@ -239,7 +148,7 @@ let gomory_cuts ~integer ~int_tol (input : Simplex.input)
                               else begin
                                 (* slack at lower (0): substitute
                                    s = sigma * (rhs_k - row_k . x). *)
-                                let k = Hashtbl.find row_of_slack j in
+                                let k = slack_row.(j - n) in
                                 let sg = sigma k in
                                 let terms, _, rk = rows.(k) in
                                 Array.iter
@@ -452,7 +361,7 @@ let extend_basis (input_old : Simplex.input) (b : Simplex.basis) ncuts =
     for k = 0 to ncuts - 1 do
       vbasis.(m_old + k) <- art0_old + k
     done;
-    Some { Simplex.vbasis; vstat }
+    Some { Simplex.vbasis; vstat; factor = None }
   end
 
 let cut_key (terms, sense, rhs) =
@@ -468,72 +377,68 @@ let cut_key (terms, sense, rhs) =
   Buffer.contents b
 
 let strengthen ~(solve : ?warm:Simplex.basis -> Simplex.input -> Simplex.result)
-    ~integer ~int_tol ?root ?(max_rounds = 3)
-    ?(max_per_round = 16) ?(max_dense_rows = 768) ~stop
+    ~integer ~int_tol ?root ?(max_rounds = 3) ?(max_per_round = 16) ~stop
     (input0 : Simplex.input) =
-  if Array.length input0.Simplex.rows > max_dense_rows then None
+  let base_rows = Array.length input0.Simplex.rows in
+  let seen = Hashtbl.create 64 in
+  (* Reuse the caller's root solve when it already carries a basis: on
+     wide models a cold LP is the single most expensive step of the
+     whole cut pass, and the caller has usually just paid for it. *)
+  let r0 =
+    match root with
+    | Some (r : Simplex.result)
+      when r.Simplex.status = Status.Optimal && r.Simplex.basis <> None ->
+        r
+    | _ -> solve input0
+  in
+  if r0.Simplex.status <> Status.Optimal then None
   else begin
-    let base_rows = Array.length input0.Simplex.rows in
-    let seen = Hashtbl.create 64 in
-    (* Reuse the caller's root solve when it already carries a basis: on
-       wide models a cold LP is the single most expensive step of the
-       whole cut pass, and the caller has usually just paid for it. *)
-    let r0 =
-      match root with
-      | Some (r : Simplex.result)
-        when r.Simplex.status = Status.Optimal && r.Simplex.basis <> None ->
-          r
-      | _ -> solve input0
-    in
-    if r0.Simplex.status <> Status.Optimal then None
-    else begin
-      let stats = ref { gomory = 0; cover = 0; rounds = 0 } in
-      let rec loop input r round =
-        if round >= max_rounds || stop () then (input, r)
+    let stats = ref { gomory = 0; cover = 0; rounds = 0 } in
+    let rec loop input r round =
+      if round >= max_rounds || stop () then (input, r)
+      else begin
+        let g =
+          gomory_cuts ~integer ~int_tol input r ~max_cuts:max_per_round
+        in
+        let c =
+          cover_cuts ~integer input r.Simplex.x ~base_rows
+            ~max_cuts:max_per_round
+        in
+        let fresh =
+          List.filter
+            (fun cut ->
+              let k = cut_key cut in
+              if Hashtbl.mem seen k then false
+              else begin
+                Hashtbl.replace seen k ();
+                true
+              end)
+            (g @ c)
+        in
+        if fresh = [] then (input, r)
         else begin
-          let g =
-            gomory_cuts ~integer ~int_tol input r ~max_cuts:max_per_round
+          let ng =
+            List.length (List.filter (fun (_, s, _) -> s = Model.Ge) fresh)
           in
-          let c =
-            cover_cuts ~integer input r.Simplex.x ~base_rows
-              ~max_cuts:max_per_round
+          stats :=
+            { gomory = !stats.gomory + ng;
+              cover = !stats.cover + (List.length fresh - ng);
+              rounds = !stats.rounds + 1 };
+          let input', _undo = apply input fresh in
+          (* Cuts-then-dual-simplex: extend the optimal basis with the new
+             slacks basic and let the dual simplex repair the violated
+             rows, instead of re-solving the grown LP from scratch. *)
+          let warm =
+            match r.Simplex.basis with
+            | Some b -> extend_basis input b (List.length fresh)
+            | None -> None
           in
-          let fresh =
-            List.filter
-              (fun cut ->
-                let k = cut_key cut in
-                if Hashtbl.mem seen k then false
-                else begin
-                  Hashtbl.replace seen k ();
-                  true
-                end)
-              (g @ c)
-          in
-          if fresh = [] then (input, r)
-          else begin
-            let ng =
-              List.length (List.filter (fun (_, s, _) -> s = Model.Ge) fresh)
-            in
-            stats :=
-              { gomory = !stats.gomory + ng;
-                cover = !stats.cover + (List.length fresh - ng);
-                rounds = !stats.rounds + 1 };
-            let input', _undo = apply input fresh in
-            (* Cuts-then-dual-simplex: extend the optimal basis with the new
-               slacks basic and let the dual simplex repair the violated
-               rows, instead of re-solving the grown LP from scratch. *)
-            let warm =
-              match r.Simplex.basis with
-              | Some b -> extend_basis input b (List.length fresh)
-              | None -> None
-            in
-            let r' = solve ?warm input' in
-            if r'.Simplex.status <> Status.Optimal then (input, r)
-            else loop input' r' (round + 1)
-          end
+          let r' = solve ?warm input' in
+          if r'.Simplex.status <> Status.Optimal then (input, r)
+          else loop input' r' (round + 1)
         end
-      in
-      let input, r = loop input0 r0 0 in
-      if total !stats = 0 then None else Some (input, r, !stats)
-    end
+      end
+    in
+    let input, r = loop input0 r0 0 in
+    if total !stats = 0 then None else Some (input, r, !stats)
   end

@@ -10,8 +10,9 @@
 
     - {e Gomory mixed-integer cuts} read one simplex tableau row per
       fractional basic integer variable: the row of [B⁻¹[A|S]] is
-      recovered by one dense LU solve against the basis transpose,
-      nonbasic columns are shifted onto their active bounds, and the
+      recovered by one BTRAN of e_r on the basis's sparse factorization
+      ({!Simplex.inverse_rows}: the factor the solve carried, or one
+      refactorization per round for a basis without one), nonbasic columns are shifted onto their active bounds, and the
       standard GMI formula is applied (fractional-part coefficients for
       integer nonbasics, sign-split scaling for continuous ones).  Slack
       variables are substituted back out so the cut is expressed over
@@ -54,8 +55,7 @@ val apply :
     pivots instead of a cold solve.  Returns the augmented input, its
     relaxation optimum and cut statistics — or [None] when the first
     solve fails or no cut was ever added (callers keep their original
-    root solve in that case).  Separation is skipped for models wider
-    than [max_dense_rows] rows (the dense LU would dominate). *)
+    root solve in that case). *)
 val strengthen :
   solve:(?warm:Simplex.basis -> Simplex.input -> Simplex.result) ->
   integer:bool array ->
@@ -63,7 +63,6 @@ val strengthen :
   ?root:Simplex.result ->
   ?max_rounds:int ->
   ?max_per_round:int ->
-  ?max_dense_rows:int ->
   stop:(unit -> bool) ->
   Simplex.input ->
   (Simplex.input * Simplex.result * stats) option

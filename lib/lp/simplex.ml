@@ -12,12 +12,47 @@ type input = {
    when free); a basic variable's value lives in [xb] of its row. *)
 type cstat = Basic | At_lower | At_upper | Free_nb
 
+(* Compressed-column copy of [A | slacks | artificials] for the sparse
+   engine.  Entries within a column are stored in increasing row order. *)
+type smat = {
+  sm_m : int;
+  sm_n : int;
+  sm_art0 : int;
+  sm_ntot : int;
+  cstart : int array;        (* ntot + 1 *)
+  crow : int array;
+  cval : float array;
+  sm_slack : int array;      (* slack column of each row, or -1 *)
+  sm_rhs : float array;      (* right-hand side of each row *)
+}
+
+(* One eta factor of the product-form inverse: pivoting column [d] into
+   row [ep] multiplies B by the identity with column [ep] replaced by
+   [d]; we store the pivot value and the off-pivot nonzeros. *)
+type eta = { ep : int; erow : int array; evals : float array; epiv : float }
+
+(* The sparse factorization a basis was left in: the matrix compiled from
+   [f_rows], the column basic in each row, and the first [f_neta] etas of
+   [f_etas], the first [f_nfact] written by the last refactorization.
+   Never mutated once exported: a solve that continues from it copies the
+   eta array first. *)
+type factor = {
+  f_rows : ((int * float) array * Model.sense * float) array;
+  f_mat : smat;
+  f_basis : int array;
+  f_etas : eta array;
+  f_neta : int;
+  f_nfact : int;
+}
+
 (* A restart point: which column is basic in each row, and where every
    column (structural, slack and artificial alike) rests.  The layout is
    determined by the row structure of the input, so a basis saved from one
    solve can seed any later solve whose rows are identical — only the
-   bounds may differ, which is exactly the branch-and-bound situation. *)
-type basis = { vbasis : int array; vstat : cstat array }
+   bounds may differ, which is exactly the branch-and-bound situation.
+   [factor] is the sparse engine's factorization of [vbasis]; it is reused
+   only by a solve over the physically same rows array. *)
+type basis = { vbasis : int array; vstat : cstat array; factor : factor option }
 
 type result = {
   status : Status.t;
@@ -389,7 +424,9 @@ let finish ~emit_basis ~warm_started input st status =
   end;
   let basis =
     if emit_basis && status = Status.Optimal then
-      Some { vbasis = Array.copy st.basis; vstat = Array.copy st.stat }
+      Some
+        { vbasis = Array.copy st.basis; vstat = Array.copy st.stat;
+          factor = None }
     else None
   in
   { status; x; obj_value; duals; reduced_costs = reduced;
@@ -850,19 +887,6 @@ let solve_warm ?max_iters input w =
 (* original row orientation directly.                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Compressed-column copy of [A | slacks | artificials].  Entries within
-   a column are stored in increasing row order. *)
-type smat = {
-  sm_m : int;
-  sm_n : int;
-  sm_art0 : int;
-  sm_ntot : int;
-  cstart : int array;        (* ntot + 1 *)
-  crow : int array;
-  cval : float array;
-  sm_slack : int array;      (* slack column of each row, or -1 *)
-}
-
 let build_smat input =
   let m = Array.length input.rows in
   let n = input.nvars in
@@ -911,12 +935,7 @@ let build_smat input =
       put (art0 + i) i 1.0)
     input.rows;
   { sm_m = m; sm_n = n; sm_art0 = art0; sm_ntot = ntot; cstart; crow; cval;
-    sm_slack = slack }
-
-(* One eta factor of the product-form inverse: pivoting column [d] into
-   row [ep] multiplies B by the identity with column [ep] replaced by
-   [d]; we store the pivot value and the off-pivot nonzeros. *)
-type eta = { ep : int; erow : int array; evals : float array; epiv : float }
+    sm_slack = slack; sm_rhs = Array.map (fun (_, _, r) -> r) input.rows }
 
 let dummy_eta = { ep = 0; erow = [||]; evals = [||]; epiv = 1.0 }
 
@@ -927,13 +946,13 @@ type sstate = {
   mat : smat;
   qlo : float array;         (* bounds over all columns *)
   qhi : float array;
-  srhs : float array;        (* original right-hand sides *)
   sbasis : int array;
   sstat : cstat array;
   svnb : float array;        (* resting value of nonbasic columns *)
   sxb : float array;         (* value of the basic variable of each row *)
   mutable etas : eta array;
   mutable neta : int;
+  mutable nfact : int;       (* etas written by the last refactorization *)
   sz : float array;          (* reduced costs, refreshed per iteration *)
   sy : float array;          (* BTRAN scratch; duals at an optimum *)
   sd : float array;          (* FTRAN scratch: transformed column *)
@@ -1034,7 +1053,7 @@ let ftran_col st j =
    after every refactorization to kill accumulated drift. *)
 let recompute_xb st =
   let w = st.sd in
-  Array.blit st.srhs 0 w 0 st.ss_m;
+  Array.blit st.mat.sm_rhs 0 w 0 st.ss_m;
   let mat = st.mat in
   for j = 0 to st.ss_ntot - 1 do
     if st.sstat.(j) <> Basic then begin
@@ -1090,6 +1109,7 @@ let refactorize st =
            if not (!nz = 1 && d.(p) = 1.0) then push_eta st ~p d)
          order
      with Exit -> ok := false);
+    st.nfact <- st.neta;
     if !ok then begin
       Array.blit newbasis 0 st.sbasis 0 m;
       recompute_xb st
@@ -1097,8 +1117,12 @@ let refactorize st =
     !ok
   end
 
+(* Refactorize once [refactor_every] etas have been pushed since the last
+   refactorization (crash placements and pivot updates).  The etas a
+   refactorization writes are the factor itself and do not count, or a
+   basis with many non-unit columns would refactorize after every pivot. *)
 let maybe_refactor st =
-  if st.neta >= st.refactor_every then refactorize st else true
+  if st.neta - st.nfact >= st.refactor_every then refactorize st else true
 
 (* Duals y = c_B^T B^-1 and reduced costs z_j = c_j - y A_j, recomputed
    from the factorization at every pricing round, so the sparse engine
@@ -1261,8 +1285,16 @@ let sfinish ~emit_basis ~warm_started input st status =
     done
   end;
   let basis =
-    if emit_basis && status = Status.Optimal then
-      Some { vbasis = Array.copy st.sbasis; vstat = Array.copy st.sstat }
+    if emit_basis && status = Status.Optimal then begin
+      (* The state is dropped here, so its eta array is handed over. *)
+      let vbasis = Array.copy st.sbasis in
+      Some
+        { vbasis; vstat = Array.copy st.sstat;
+          factor =
+            Some
+              { f_rows = input.rows; f_mat = st.mat; f_basis = vbasis;
+                f_etas = st.etas; f_neta = st.neta; f_nfact = st.nfact } }
+    end
     else None
   in
   { status; x; obj_value; duals; reduced_costs = reduced;
@@ -1294,7 +1326,6 @@ let ssolve_cold ?max_iters ~emit_basis input =
     end
   done;
   let max_iters = default_iters max_iters m n in
-  let srhs = Array.map (fun (_, _, r) -> r) input.rows in
   (* Residual of each row at the nonbasic resting point. *)
   let resid = Array.make (max 1 m) 0.0 in
   Array.iteri
@@ -1310,9 +1341,9 @@ let ssolve_cold ?max_iters ~emit_basis input =
   let basis = Array.make (max 1 m) (-1) in
   let xb = Array.make (max 1 m) 0.0 in
   let st =
-    { ss_m = m; ss_ntot = ntot; ss_art0 = art0; mat; qlo; qhi; srhs;
+    { ss_m = m; ss_ntot = ntot; ss_art0 = art0; mat; qlo; qhi;
       sbasis = basis; sstat = stat; svnb = vnb; sxb = xb;
-      etas = Array.make 16 dummy_eta; neta = 0;
+      etas = Array.make 16 dummy_eta; neta = 0; nfact = 0;
       sz = Array.make ntot 0.0; sy = Array.make (max 1 m) 0.0;
       sd = Array.make (max 1 m) 0.0; siters = 0; sdegen = 0;
       refactor_every = refactor_cadence m }
@@ -1518,10 +1549,21 @@ let ssolve_cold ?max_iters ~emit_basis input =
         | `Iters -> fin Status.Iteration_limit
       end
 
-(* Rebuild a sparse factorization around the saved basis [w]; [None]
-   when the basis does not fit these rows or is singular. *)
+(* Set up a sparse state around the saved basis [w].  A factorization
+   [w] carries for these very rows is reused, so only x_B is recomputed
+   for the new bounds; otherwise the matrix is compiled and the basis
+   refactorized.  [None] when the basis does not fit these rows or is
+   singular. *)
 let swarm_state input (w : basis) =
-  let mat = build_smat input in
+  let carried =
+    match w.factor with
+    | Some f
+      when f.f_rows == input.rows && f.f_basis == w.vbasis
+           && f.f_mat.sm_n = input.nvars ->
+        Some f
+    | _ -> None
+  in
+  let mat = match carried with Some f -> f.f_mat | None -> build_smat input in
   let m = mat.sm_m and n = mat.sm_n in
   let art0 = mat.sm_art0 and ntot = mat.sm_ntot in
   if Array.length w.vstat <> ntot || Array.length w.vbasis <> m then None
@@ -1572,16 +1614,28 @@ let swarm_state input (w : basis) =
           end
       done;
       Array.iter (fun b -> stat.(b) <- Basic) basis;
-      let srhs = Array.map (fun (_, _, r) -> r) input.rows in
+      let etas, neta, nfact =
+        match carried with
+        | Some f ->
+            (* The exported eta array is shared: continue on a copy. *)
+            let etas = Array.make (f.f_neta + 32) dummy_eta in
+            Array.blit f.f_etas 0 etas 0 f.f_neta;
+            (etas, f.f_neta, f.f_nfact)
+        | None -> (Array.make 16 dummy_eta, 0, 0)
+      in
       let st =
-        { ss_m = m; ss_ntot = ntot; ss_art0 = art0; mat; qlo; qhi; srhs;
+        { ss_m = m; ss_ntot = ntot; ss_art0 = art0; mat; qlo; qhi;
           sbasis = basis; sstat = stat; svnb = vnb;
-          sxb = Array.make (max 1 m) 0.0; etas = Array.make 16 dummy_eta;
-          neta = 0; sz = Array.make ntot 0.0; sy = Array.make (max 1 m) 0.0;
+          sxb = Array.make (max 1 m) 0.0; etas; neta; nfact;
+          sz = Array.make ntot 0.0; sy = Array.make (max 1 m) 0.0;
           sd = Array.make (max 1 m) 0.0; siters = 0; sdegen = 0;
           refactor_every = refactor_cadence m }
       in
-      if refactorize st then Some st else None
+      match carried with
+      | Some _ ->
+          recompute_xb st;
+          Some st
+      | None -> if refactorize st then Some st else None
     end
   end
 
@@ -1701,6 +1755,18 @@ let ssolve_warm ?max_iters input w =
               Some (fin Status.Optimal)
           | `Unbounded -> Some (fin Status.Unbounded)
           | `Iters -> None))
+
+let inverse_rows input w =
+  match swarm_state input w with
+  | None -> None
+  | Some st ->
+      let row r =
+        let y = Array.make st.ss_m 0.0 in
+        y.(r) <- 1.0;
+        btran st y;
+        y
+      in
+      Some (st.sbasis, row)
 
 type core = Dense | Sparse
 

@@ -14,12 +14,15 @@
     {!check_certificate} can verify independently.
 
     A solve can export its optimal {!basis} and a later solve over the
-    {e same rows} but different bounds can restart from it: the basis is
-    refactorized and a bounded-variable dual simplex repairs the bound
-    violations, which after a single branch-and-bound bound change is
-    typically a handful of pivots instead of a full cold solve.  Warm
-    solves fall back to the cold path automatically when the saved basis is
-    singular or the reoptimization struggles numerically. *)
+    {e same rows} but different bounds can restart from it: a
+    bounded-variable dual simplex repairs the bound violations, which
+    after a single branch-and-bound bound change is typically a handful of
+    pivots instead of a full cold solve.  A sparse basis carries the
+    factorization that produced it, so a restart over the physically same
+    rows array only recomputes the basic values; any other restart
+    refactorizes.  Warm solves fall back to the cold path automatically
+    when the saved basis is singular or the reoptimization struggles
+    numerically. *)
 
 type input = {
   nvars : int;
@@ -36,11 +39,24 @@ type input = {
     when free); a basic column's value lives in its row. *)
 type cstat = Basic | At_lower | At_upper | Free_nb
 
+(** A sparse basis factorization: the compiled rows, the eta file and the
+    column basic in each row. *)
+type factor
+
 (** A restart point.  [vbasis.(i)] is the column basic in row [i];
     [vstat.(j)] is the resting status of every column (structural, slack
     and artificial).  Only valid for inputs with the same row structure as
-    the solve that produced it — bounds and objective may differ. *)
-type basis = { vbasis : int array; vstat : cstat array }
+    the solve that produced it — bounds and objective may differ.
+    [factor] is the sparse engine's factorization of [vbasis] (dense
+    bases have none).  A warm solve reuses it only when its input's
+    [rows] is physically the array the factor was built from (as in
+    [{ input with lo; hi }]); otherwise, or with [factor = None], the
+    basis is refactorized from scratch. *)
+type basis = {
+  vbasis : int array;
+  vstat : cstat array;
+  factor : factor option;
+}
 
 type result = {
   status : Status.t;
@@ -64,14 +80,22 @@ val of_model : Model.t -> input
 type core = Dense | Sparse
 
 (** [solve input] runs the two-phase primal simplex.  With [~warm] the
-    solver instead refactorizes the given basis and reoptimizes with the
-    dual simplex (falling back to a cold solve on failure); warm solves
-    always export their basis.  With [~want_basis:true] a cold solve skips
-    fixed-column elimination and exports its final basis so children can
-    warm start.  [~core] selects the engine (default {!Sparse}). *)
+    solver instead restarts from the given basis (see {!basis} for when
+    its factor is reused) and reoptimizes with the dual simplex (falling
+    back to a cold solve on failure); warm solves always export their
+    basis.  With [~want_basis:true] a cold solve skips fixed-column
+    elimination and exports its final basis so children can warm start.
+    [~core] selects the engine (default {!Sparse}). *)
 val solve :
   ?max_iters:int -> ?warm:basis -> ?want_basis:bool -> ?core:core ->
   input -> result
+
+(** [inverse_rows input b] factors [b] over [input]'s rows as a warm
+    solve would and returns the column basic in each row of that
+    factorization (refactorization may permute rows, so use these, not
+    [b.vbasis]) and a function mapping [r] to row [r] of B⁻¹ (one BTRAN
+    of e_r).  [None] when [b] does not fit the rows or is singular. *)
+val inverse_rows : input -> basis -> (int array * (int -> float array)) option
 
 (** [check_certificate input result] re-verifies, from scratch, that
     [result] is a valid optimum of [input]: primal feasibility, the sign

@@ -426,6 +426,43 @@ let test_relax_reports_fractional () =
   Alcotest.(check (float 1e-9)) "fractional root" 0.5 r.Simplex.x.(0);
   Alcotest.(check bool) "not integral" false (Milp.integral m r.Simplex.x)
 
+(* Gomory separation reads tableau rows off the sparse factorization, so
+   it has no row cap: on 400 pairs of rows 2 x_i + x_j <= 11 (j the
+   partner of i, x integer in [0, 10], maximize the sum; 800 rows) the
+   relaxation sits at x_i = 11/3 and a cut round must add Gomory rows
+   that keep the integer point alternating 4, 3 feasible. *)
+let test_gomory_past_768_rows () =
+  let n = 800 in
+  let m = Model.create ~name:"pairs" () in
+  let x =
+    Array.init n (fun i ->
+        Model.add_var m ~hi:10.0 ~integer:true (Printf.sprintf "x%d" i))
+  in
+  for i = 0 to n - 1 do
+    Model.add_le m (Printf.sprintf "c%d" i)
+      Model.Linexpr.(add (term 2.0 x.(i)) (var x.(i lxor 1)))
+      11.0
+  done;
+  Model.set_objective m ~minimize:false
+    (Model.Linexpr.sum (Array.to_list (Array.map Model.Linexpr.var x)));
+  let input = Simplex.of_model m in
+  let integer = Array.make n true in
+  match
+    Cuts.strengthen
+      ~solve:(fun ?warm inp -> Simplex.solve ?warm ~want_basis:true inp)
+      ~integer ~int_tol:1e-6 ~max_rounds:1
+      ~stop:(fun () -> false)
+      input
+  with
+  | None -> Alcotest.fail "no cut separated on an 800-row model"
+  | Some (input', r, stats) ->
+      Alcotest.(check bool) "gomory cuts added" true (stats.Cuts.gomory > 0);
+      Alcotest.(check string) "cut LP optimal" "optimal"
+        (Status.to_string r.Simplex.status);
+      let alternating = Array.init n (fun i -> if i mod 2 = 0 then 4.0 else 3.0) in
+      Alcotest.(check bool) "integer point survives the cuts" true
+        (Simplex.feasible input' alternating)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -442,6 +479,8 @@ let suite =
     Alcotest.test_case "zero deadline still joins all domains" `Quick
       test_zero_deadline;
     Alcotest.test_case "wsdeque: multiset model" `Quick test_deque_model;
+    Alcotest.test_case "gomory cuts past 768 rows" `Quick
+      test_gomory_past_768_rows;
     q prop_knapsack_matches_brute_force;
     q prop_assignment_matches_brute_force;
   ]

@@ -218,15 +218,12 @@ let prop_random_feasible =
 
 (* ---- eta-file drift --------------------------------------------------- *)
 
-let test_eta_refactorization_drift () =
-  (* A dense equality-constrained LP large enough that the crash basis plus
-     the pivot sequence far exceeds the refactorization cadence, so the
-     sparse engine rebuilds its eta file mid-solve (and again at the
-     optimum).  The returned point must satisfy the rows to tight absolute
-     tolerance: any drift the product-form update accumulated and the
-     refactorizations failed to kill would show up here. *)
-  let rng = Datasets.Prng.create 99 in
-  let n = 80 and rows = 50 in
+(* A dense random LP (row [r] is an equality when [eq r]) solved by the
+   sparse engine: the returned point must satisfy the rows to tight
+   absolute tolerance, so any drift the product-form update accumulated
+   and the refactorizations failed to kill would show up here. *)
+let check_eta_drift ~seed ~n ~rows ~eq =
+  let rng = Datasets.Prng.create seed in
   let x0 = Array.init n (fun _ -> Datasets.Prng.range rng 0.0 3.0) in
   let m = Model.create ~name:"drift" () in
   let vars =
@@ -242,7 +239,7 @@ let test_eta_refactorization_drift () =
       e := Model.Linexpr.add !e (Model.Linexpr.term c vars.(j));
       lhs := !lhs +. (c *. x0.(j))
     done;
-    if r mod 3 = 0 then Model.add_eq m (Printf.sprintf "r%d" r) !e !lhs
+    if eq r then Model.add_eq m (Printf.sprintf "r%d" r) !e !lhs
     else if r mod 3 = 1 then
       Model.add_le m (Printf.sprintf "r%d" r) !e (!lhs +. 0.5)
     else Model.add_ge m (Printf.sprintf "r%d" r) !e (!lhs -. 0.5)
@@ -275,6 +272,15 @@ let test_eta_refactorization_drift () =
     input.Simplex.rows;
   if !residual >= 1e-8 then
     Alcotest.failf "row residual %.3e exceeds 1e-8" !residual
+
+let test_eta_refactorization_drift () =
+  (* Large enough that the crash basis plus the pivot sequence far exceeds
+     the refactorization cadence, so the eta file is rebuilt mid-solve. *)
+  check_eta_drift ~seed:99 ~n:80 ~rows:50 ~eq:(fun r -> r mod 3 = 0);
+  (* 150 dense equality rows: the basis has more than 128 non-unit
+     columns, so a refactorization alone writes more etas than the update
+     cadence and a long eta file is carried between refactorizations. *)
+  check_eta_drift ~seed:7 ~n:200 ~rows:150 ~eq:(fun _ -> true)
 
 (* ---- dual-simplex warm starts ---------------------------------------- *)
 
@@ -375,27 +381,59 @@ let test_warm_random_bound_changes () =
         let j = Datasets.Prng.int rng n in
         let hi' = Array.copy input.Simplex.hi in
         hi'.(j) <- Datasets.Prng.range rng 0.0 4.0;
+        (* [tightened] shares [input]'s rows, so [basis] brings its
+           factorization along; the stripped copy must refactorize. *)
         let tightened = { input with Simplex.hi = hi' } in
         let rw = Simplex.solve ~warm:basis tightened in
+        let rs =
+          Simplex.solve ~warm:{ basis with Simplex.factor = None } tightened
+        in
         let rf = Simplex.solve tightened in
-        if rw.Simplex.status <> rf.Simplex.status then
-          Alcotest.failf "status mismatch: warm %s, fresh %s"
-            (Status.to_string rw.Simplex.status)
-            (Status.to_string rf.Simplex.status);
-        if rw.Simplex.status = Status.Optimal then begin
-          if Float.abs (rw.Simplex.obj_value -. rf.Simplex.obj_value) > 1e-6
-          then
-            Alcotest.failf "objective mismatch: warm %.9g, fresh %.9g"
-              rw.Simplex.obj_value rf.Simplex.obj_value;
-          match Simplex.check_certificate tightened rw with
-          | [] -> ()
-          | errs ->
-              Alcotest.failf "warm certificate: %s" (String.concat "; " errs)
-        end;
+        List.iter
+          (fun (tag, r) ->
+            if r.Simplex.status <> rf.Simplex.status then
+              Alcotest.failf "status mismatch: %s %s, fresh %s" tag
+                (Status.to_string r.Simplex.status)
+                (Status.to_string rf.Simplex.status);
+            if r.Simplex.status = Status.Optimal then begin
+              if Float.abs (r.Simplex.obj_value -. rf.Simplex.obj_value) > 1e-6
+              then
+                Alcotest.failf "objective mismatch: %s %.9g, fresh %.9g" tag
+                  r.Simplex.obj_value rf.Simplex.obj_value;
+              match Simplex.check_certificate tightened r with
+              | [] -> ()
+              | errs ->
+                  Alcotest.failf "%s certificate: %s" tag
+                    (String.concat "; " errs)
+            end)
+          [ ("carried", rw); ("stripped", rs) ];
         if rw.Simplex.warm_started then incr warm_hits
     | _ -> ()
   done;
   Alcotest.(check bool) "dual path exercised" true (!warm_hits > 0)
+
+let test_warm_factor_needs_same_rows () =
+  (* A factor is tied to the physical rows array it was built from: a
+     copy with one coefficient changed (3x + 2y <= 18 becomes
+     3x + 4y <= 18) must refactorize, and the answer must certify against
+     the new rows.  Reusing the stale factor would return the old vertex
+     x = 2, y = 6, which violates the new row. *)
+  let base = textbook_input ~hiy:infinity in
+  let r0 = Simplex.solve ~want_basis:true base in
+  let basis = Option.get r0.Simplex.basis in
+  Alcotest.(check bool) "sparse basis carries a factor" true
+    (Option.is_some basis.Simplex.factor);
+  let rows = Array.copy base.Simplex.rows in
+  let terms, sense, rhs = rows.(2) in
+  rows.(2) <- (Array.map (fun (j, c) -> (j, if j = 1 then 4.0 else c)) terms,
+               sense, rhs);
+  let changed = { base with Simplex.rows } in
+  let rw = Simplex.solve ~warm:basis changed in
+  Alcotest.(check string) "status" "optimal" (Status.to_string rw.Simplex.status);
+  check_float "objective" 22.5 rw.Simplex.obj_value;
+  match Simplex.check_certificate changed rw with
+  | [] -> ()
+  | errs -> Alcotest.failf "certificate: %s" (String.concat "; " errs)
 
 (* Branch-and-bound's own use of the warm path, on a consolidation model
    whose saved basis does not pair row i with a column nonzero in row i:
@@ -482,6 +520,8 @@ let suite =
       test_warm_detects_infeasible;
     Alcotest.test_case "warm random bound changes" `Quick
       test_warm_random_bound_changes;
+    Alcotest.test_case "warm factor needs the same rows" `Quick
+      test_warm_factor_needs_same_rows;
     Alcotest.test_case "eta refactorization drift" `Quick
       test_eta_refactorization_drift;
     Alcotest.test_case "warm branches on a consolidation model" `Quick
