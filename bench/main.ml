@@ -3,12 +3,16 @@
    kernels with Bechamel.
 
    Usage: main.exe [--json] [--check BASELINE.json] [--tolerance PCT]
-                   [e0|e1|e2|e3|e4|e5|e6|e7|kernels|smoke|all]   (default: all)
+                   [--seconds S]
+                   [e0|e1|e2|e3|e4|e5|e6|e7|kernels|smoke|profile|all]
+                   (default: all)
 
    [smoke] runs every kernel thunk exactly once (no timing) so the test
    suite can exercise the bench harness cheaply; [--check] compares the
    measured kernels against a committed baseline and fails the run on a
-   >25% regression. *)
+   >25% regression.  [profile] samples the call stacks of the kernels
+   for [--seconds] of CPU time (default 5) and prints the hottest
+   frames; BENCH_KERNELS selects the kernels for it as for [kernels]. *)
 
 open Bechamel
 
@@ -557,6 +561,87 @@ let run_smoke () =
         (Domain.recommended_domain_count ()))
     skipped
 
+(* ------------------------------------------------------------ profile *)
+
+(* SIGPROF sampler over the selected kernels (BENCH_KERNELS): an
+   ITIMER_PROF timer fires every [profile_interval] seconds of process
+   CPU time and the handler records the OCaml call stack.  The kernels
+   run round-robin until [seconds] of CPU time have passed, then the
+   frames most often on top of the stack (self) and anywhere on it
+   (inclusive, counted once per sample) are printed.  Needs the debug
+   info dune builds with by default.
+
+   Caveat: OCaml runs a signal handler at its next poll point, so a
+   sample that lands in C code (Printf's formatting, the GC, a system
+   call) is booked on the OCaml frame that next polls: the caller of the
+   primitive, or a later allocation site such as an [Array.of_list].
+   Self shares of frames that follow C calls are inflated by it;
+   inclusive shares of the functions that made the calls are not. *)
+let profile_interval = 0.001
+
+let run_profile ~seconds =
+  let active, _ = partition_kernels () in
+  let samples = ref 0 in
+  let self = Hashtbl.create 256 and incl = Hashtbl.create 256 in
+  let bump tbl k =
+    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  (* A handler may run on any domain, and may itself reach a poll point
+     with the next signal pending; only one records at a time. *)
+  let busy = Atomic.make false in
+  let on_sample _ =
+    if Atomic.compare_and_set busy false true then begin
+      (match Printexc.backtrace_slots (Printexc.get_callstack 256) with
+      | Some slots when Array.length slots > 1 -> (
+          (* slot 0 is this handler *)
+          match
+            List.filter_map Printexc.Slot.name (List.tl (Array.to_list slots))
+          with
+          | top :: _ as names ->
+              incr samples;
+              bump self top;
+              List.iter (bump incl) (List.sort_uniq compare names)
+          | [] -> ())
+      | _ -> ());
+      Atomic.set busy false
+    end
+  in
+  let timer v = { Unix.it_interval = v; it_value = v } in
+  let previous = Sys.signal Sys.sigprof (Sys.Signal_handle on_sample) in
+  ignore (Unix.setitimer Unix.ITIMER_PROF (timer profile_interval));
+  let thunks = Array.of_list (List.map snd active) in
+  let t0 = Sys.time () and runs = ref 0 in
+  if Array.length thunks > 0 then
+    while !runs = 0 || Sys.time () -. t0 < seconds do
+      thunks.(!runs mod Array.length thunks) ();
+      incr runs
+    done;
+  let cpu = Sys.time () -. t0 in
+  ignore (Unix.setitimer Unix.ITIMER_PROF (timer 0.0));
+  Sys.set_signal Sys.sigprof previous;
+  Printf.printf "profile: %d samples over %.2f s of CPU time, %d kernel runs over %s\n"
+    !samples cpu !runs
+    (String.concat "," (List.map fst active));
+  Printf.printf
+    "(samples in C code are booked at the next OCaml poll point)\n";
+  let top title tbl =
+    let rows =
+      List.sort
+        (fun (a, x) (b, y) -> match compare y x with 0 -> compare a b | c -> c)
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+    in
+    Printf.printf "\n%s\n" title;
+    List.iteri
+      (fun i (name, n) ->
+        if i < 25 then
+          Printf.printf "  %5.1f%%  %s\n"
+            (100.0 *. float_of_int n /. float_of_int (max 1 !samples))
+            name)
+      rows
+  in
+  top "top self frames" self;
+  top "top inclusive frames" incl
+
 (* ------------------------------------------------- concurrency kernel *)
 
 (* Latency under load: hold [conns] concurrent keep-alive connections
@@ -872,6 +957,7 @@ let run_kernels ?(json = false) ?check ?tolerance () =
   passed
 
 let () =
+  let profile_seconds = ref 5.0 in
   let rec parse_args args (mode, json, check, tol) =
     match args with
     | [] -> (mode, json, check, tol)
@@ -885,6 +971,14 @@ let () =
         | Some p when p > 0.0 -> parse_args rest (mode, json, check, Some p)
         | _ ->
             Printf.eprintf "--tolerance needs a positive percentage\n";
+            exit 2)
+    | "--seconds" :: v :: rest -> (
+        match float_of_string_opt v with
+        | Some sec when sec > 0.0 ->
+            profile_seconds := sec;
+            parse_args rest (mode, json, check, tol)
+        | _ ->
+            Printf.eprintf "--seconds needs a positive number\n";
             exit 2)
     | "--tolerance" :: [] ->
         Printf.eprintf "--tolerance needs a positive percentage\n";
@@ -907,11 +1001,12 @@ let () =
   | "e7" -> ignore (Harness.Studies.e7_scenario_frontier ())
   | "kernels" -> passed := run_kernels ~json ?check ?tolerance ()
   | "smoke" -> run_smoke ()
+  | "profile" -> run_profile ~seconds:!profile_seconds
   | "all" ->
       Harness.Studies.all ();
       passed := run_kernels ~json ?check ?tolerance ()
   | other ->
-      Printf.eprintf "unknown experiment %S (want e0..e7, kernels, smoke, all)\n"
+      Printf.eprintf "unknown experiment %S (want e0..e7, kernels, smoke, profile, all)\n"
         other;
       exit 2);
   Printf.printf "\nDone.\n%!";

@@ -364,23 +364,55 @@ let extend_basis (input_old : Simplex.input) (b : Simplex.basis) ncuts =
     Some { Simplex.vbasis; vstat; factor = None }
   end
 
-let cut_key (terms, sense, rhs) =
-  let b = Buffer.create 64 in
-  (match sense with
-  | Model.Le -> Buffer.add_char b 'L'
-  | Model.Ge -> Buffer.add_char b 'G'
-  | Model.Eq -> Buffer.add_char b 'E');
-  Buffer.add_string b (Printf.sprintf "%.9g" rhs);
-  Array.iter
-    (fun (j, c) -> Buffer.add_string b (Printf.sprintf ";%d:%.9g" j c))
-    terms;
-  Buffer.contents b
+(* Whether [a] and [b], at most 2e-8 apart relative (so of one sign),
+   print alike at %.9g: both are scaled by the power of ten that puts the
+   larger at 9 digits and their rounded values compared.  They are formatted instead
+   when either sits near a rounding tie (s carries ~1e-6 of error) or
+   outside that decade (log10 missed one, or the smaller lies below it),
+   and at zero, huge or tiny magnitudes. *)
+let print_alike a b =
+  let m = Float.max (Float.abs a) (Float.abs b) in
+  let p = Float.pow 10.0 (8.0 -. Float.floor (Float.log10 m)) in
+  let sa = Float.abs a *. p and sb = Float.abs b *. p in
+  let tie s = Float.abs (s -. Float.floor s -. 0.5) < 1e-4 in
+  if
+    (not (m > 1e-290 && m < 1e290))
+    || tie sa || tie sb
+    || Float.min sa sb < 1e8
+    || Float.max sa sb >= 1e9
+  then String.equal (Printf.sprintf "%.9g" a) (Printf.sprintf "%.9g" b)
+  else Float.round sa = Float.round sb
+
+(* Cuts are bucketed by an integer hash of their support whose low two
+   bits carry the sense.  A duplicate has the same support and each
+   coefficient and the rhs bit-equal or printing alike at %.9g, which a
+   gap over 2e-8 relative rules out. *)
+let novel () =
+  let seen = Hashtbl.create 64 in
+  let close a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    || (not (Float.abs (a -. b) > 2e-8 *. Float.max (Float.abs a) (Float.abs b)))
+       && print_alike a b
+  in
+  let same (terms, rhs) (terms', rhs') =
+    Array.length terms = Array.length terms'
+    && Array.for_all2 (fun (j, c) (j', c') -> j = j' && close c c') terms terms'
+    && close rhs rhs'
+  in
+  fun (terms, sense, rhs) ->
+    let h =
+      Array.fold_left (fun h (j, _) -> (h * 31) + j) 17 terms * 4
+      + (match sense with Model.Le -> 0 | Model.Ge -> 1 | Model.Eq -> 2)
+    in
+    let dup = List.exists (same (terms, rhs)) (Hashtbl.find_all seen h) in
+    if not dup then Hashtbl.add seen h (terms, rhs);
+    not dup
 
 let strengthen ~(solve : ?warm:Simplex.basis -> Simplex.input -> Simplex.result)
     ~integer ~int_tol ?root ?(max_rounds = 3) ?(max_per_round = 16) ~stop
     (input0 : Simplex.input) =
   let base_rows = Array.length input0.Simplex.rows in
-  let seen = Hashtbl.create 64 in
+  let novel = novel () in
   (* Reuse the caller's root solve when it already carries a basis: on
      wide models a cold LP is the single most expensive step of the
      whole cut pass, and the caller has usually just paid for it. *)
@@ -404,17 +436,7 @@ let strengthen ~(solve : ?warm:Simplex.basis -> Simplex.input -> Simplex.result)
           cover_cuts ~integer input r.Simplex.x ~base_rows
             ~max_cuts:max_per_round
         in
-        let fresh =
-          List.filter
-            (fun cut ->
-              let k = cut_key cut in
-              if Hashtbl.mem seen k then false
-              else begin
-                Hashtbl.replace seen k ();
-                true
-              end)
-            (g @ c)
-        in
+        let fresh = List.filter novel (g @ c) in
         if fresh = [] then (input, r)
         else begin
           let ng =

@@ -44,6 +44,12 @@ val apply :
   ((int * float) array * Model.sense * float) list ->
   Simplex.input * (Simplex.result -> Simplex.result)
 
+(** [novel ()] is a fresh duplicate filter, as {!strengthen} runs it: [true]
+    for a cut not seen before (now remembered), [false] for a duplicate:
+    same sense, same column indices in order, and each coefficient and
+    the rhs bit-identical or printing alike at [%.9g]. *)
+val novel : unit -> ((int * float) array * Model.sense * float -> bool)
+
 (** [strengthen ~solve ~integer ~int_tol ~stop input] runs separation
     rounds at the root: solve (with a basis), separate, append, repeat.
     [solve] must export a basis ([want_basis]) for Gomory separation to
@@ -52,7 +58,9 @@ val apply :
     skipped and each subsequent round is warm-started by extending the
     previous basis with the new cut slacks basic (the classic
     cuts-then-dual-simplex repair), so a round costs a handful of dual
-    pivots instead of a cold solve.  Returns the augmented input, its
+    pivots instead of a cold solve.  Candidates that duplicate a cut
+    already added in an earlier round (or earlier in the same round)
+    are dropped by a {!novel} filter.  Returns the augmented input, its
     relaxation optimum and cut statistics — or [None] when the first
     solve fails or no cut was ever added (callers keep their original
     root solve in that case). *)

@@ -953,7 +953,7 @@ type sstate = {
   mutable etas : eta array;
   mutable neta : int;
   mutable nfact : int;       (* etas written by the last refactorization *)
-  sz : float array;          (* reduced costs, refreshed per iteration *)
+  sz : float array;          (* reduced costs, refreshed per primal round *)
   sy : float array;          (* BTRAN scratch; duals at an optimum *)
   sd : float array;          (* FTRAN scratch: transformed column *)
   mutable siters : int;
@@ -1124,9 +1124,9 @@ let refactorize st =
 let maybe_refactor st =
   if st.neta - st.nfact >= st.refactor_every then refactorize st else true
 
-(* Duals y = c_B^T B^-1 and reduced costs z_j = c_j - y A_j, recomputed
-   from the factorization at every pricing round, so the sparse engine
-   never accumulates incremental reduced-cost drift. *)
+(* Duals y = c_B^T B^-1 and reduced costs z_j = c_j - y A_j of every
+   unpinned column, recomputed from the factorization at every primal
+   pricing round, so they never accumulate incremental drift. *)
 let sreset_z st (c : float array) =
   let m = st.ss_m in
   let y = st.sy in
@@ -1641,7 +1641,10 @@ let swarm_state input (w : basis) =
 
 (* Bounded-variable dual simplex on the sparse state; mirrors
    [dual_loop], with the transformed leaving row obtained by BTRAN of a
-   unit vector and one pass over the column nonzeros. *)
+   unit vector and one pass over the column nonzeros.  Reduced costs are
+   priced only for the columns the ratio test can pick, from one BTRAN of
+   c_B per pivot and the arithmetic of [sreset_z], so each ratio is the
+   one a full [sreset_z] would give. *)
 let sdual_loop st max_iters (c : float array) =
   let m = st.ss_m and ntot = st.ss_ntot in
   let rec loop () =
@@ -1670,9 +1673,13 @@ let sdual_loop st max_iters (c : float array) =
         let r = !row in
         let b = st.sbasis.(r) in
         let target = if !below then st.qlo.(b) else st.qhi.(b) in
-        (* Fresh reduced costs first ([sreset_z] owns [sy]), then the
-           transformed row rho = B^-T e_r. *)
-        sreset_z st c;
+        (* Duals y = B^-T c_B in [sd], free until the entering column's
+           FTRAN; the transformed row rho = B^-T e_r in [sy]. *)
+        let y = st.sd in
+        for i = 0 to m - 1 do
+          y.(i) <- c.(st.sbasis.(i))
+        done;
+        btran st y;
         let rho = st.sy in
         Array.fill rho 0 m 0.0;
         rho.(r) <- 1.0;
@@ -1691,12 +1698,11 @@ let sdual_loop st max_iters (c : float array) =
                 | Basic -> false
             in
             if eligible then begin
+              let z = c.(j) -. col_dot st j y in
               let ratio =
                 match st.sstat.(j) with
-                | Free_nb -> Float.abs (st.sz.(j) /. w)
-                | _ ->
-                    Float.max 0.0
-                      (if !below then -.(st.sz.(j) /. w) else st.sz.(j) /. w)
+                | Free_nb -> Float.abs (z /. w)
+                | _ -> Float.max 0.0 (if !below then -.(z /. w) else z /. w)
               in
               if
                 ratio < !best_ratio -. 1e-10

@@ -463,6 +463,127 @@ let test_gomory_past_768_rows () =
       Alcotest.(check bool) "integer point survives the cuts" true
         (Simplex.feasible input' alternating)
 
+(* The duplicate filter [Cuts.strengthen] runs must keep exactly the cuts
+   the former string key kept.  [cut_key] is that key, verbatim: sense,
+   rhs and every (index, coefficient) printed at %.9g. *)
+let cut_key (terms, sense, rhs) =
+  let b = Buffer.create 64 in
+  (match sense with
+  | Model.Le -> Buffer.add_char b 'L'
+  | Model.Ge -> Buffer.add_char b 'G'
+  | Model.Eq -> Buffer.add_char b 'E');
+  Buffer.add_string b (Printf.sprintf "%.9g" rhs);
+  Array.iter
+    (fun (j, c) -> Buffer.add_string b (Printf.sprintf ";%d:%.9g" j c))
+    terms;
+  Buffer.contents b
+
+(* A stream mixing fresh cuts with variants of earlier ones: exact
+   repeats, coefficients and rhs perturbed in the 9th or 10th
+   significant digit, rhs 0.0 against -0.0, the same coefficients on a
+   shifted support, the other sense, and coefficients moved a few ulps
+   around a 9-digit rounding tie or just below a power of ten, then
+   nudged by single ulps. *)
+let cut_stream rng len =
+  let open Datasets.Prng in
+  let fresh () =
+    let k = 1 + int rng 6 in
+    let support = List.sort_uniq compare (List.init k (fun _ -> int rng 40)) in
+    let terms =
+      Array.of_list
+        (List.map
+           (fun j ->
+             (j, if int rng 4 = 0 then 1.0 else range rng (-50.0) 50.0))
+           support)
+    in
+    let sense = if int rng 2 = 0 then Model.Le else Model.Ge in
+    let rhs = if int rng 3 = 0 then 0.0 else range rng (-20.0) 20.0 in
+    (terms, sense, rhs)
+  in
+  let perturb v =
+    (* one unit in the 9th or 10th significant digit, either sign *)
+    let digit = if int rng 2 = 0 then 1e-8 else 1e-9 in
+    let sign = if int rng 2 = 0 then 1.0 else -1.0 in
+    if v = 0.0 then sign *. digit else v *. (1.0 +. (sign *. digit))
+  in
+  let rec ulps k v =
+    if k = 0 then v
+    else if k > 0 then ulps (k - 1) (Float.succ v)
+    else ulps (k + 1) (Float.pred v)
+  in
+  let near_tie v =
+    let a = Float.max 1e-6 (Float.abs v) in
+    let scale = 10.0 ** (8.0 -. Float.floor (Float.log10 a)) in
+    let m =
+      if int rng 3 = 0 then 9.999999995 *. (10.0 ** Float.floor (Float.log10 a))
+      else (Float.floor (a *. scale) +. 0.5) /. scale
+    in
+    ulps (int rng 5 - 2) (if v < 0.0 then -.m else m)
+  in
+  let out = ref [] in
+  for _ = 1 to len do
+    let cut =
+      match !out with
+      | [] -> fresh ()
+      | prev -> (
+          let terms, sense, rhs = pick rng (Array.of_list prev) in
+          let retouch f =
+            let t = Array.copy terms in
+            let i = int rng (Array.length t) in
+            t.(i) <- (fst t.(i), f (snd t.(i)));
+            (t, sense, rhs)
+          in
+          match int rng 9 with
+          | 0 -> fresh ()
+          | 1 -> (terms, sense, rhs)
+          | 2 -> (Array.map (fun (j, c) -> (j, perturb c)) terms, sense, rhs)
+          | 3 -> retouch perturb
+          | 4 -> (terms, sense, if rhs = 0.0 then -.rhs else perturb rhs)
+          | 5 -> (Array.map (fun (j, c) -> (j + 1, c)) terms, sense, rhs)
+          | 6 ->
+              ( terms,
+                (match sense with Model.Le -> Model.Ge | _ -> Model.Le),
+                rhs )
+          | 7 -> retouch near_tie
+          | _ -> retouch (ulps (if int rng 2 = 0 then 1 else -1)))
+    in
+    out := cut :: !out
+  done;
+  List.rev !out
+
+let test_cut_filter_matches_string_key () =
+  let near_dups = ref 0 and kept = ref 0 in
+  for seed = 1 to 60 do
+    let rng = Datasets.Prng.create seed in
+    let stream = cut_stream rng 300 in
+    let novel = Cuts.novel () in
+    let seen = Hashtbl.create 64 and exact = Hashtbl.create 64 in
+    List.iteri
+      (fun i cut ->
+        let k = cut_key cut in
+        let expect = not (Hashtbl.mem seen k) in
+        Hashtbl.replace seen k ();
+        (* drops the bit patterns alone would have kept *)
+        let terms, sense, rhs = cut in
+        let bits =
+          ( Array.map (fun (j, c) -> (j, Int64.bits_of_float c)) terms,
+            sense,
+            Int64.bits_of_float rhs )
+        in
+        if (not expect) && not (Hashtbl.mem exact bits) then incr near_dups;
+        Hashtbl.replace exact bits ();
+        if expect then incr kept;
+        let got = novel cut in
+        if got <> expect then
+          Alcotest.failf "seed %d, cut %d (%s): filter %s, string key %s" seed
+            i k
+            (if got then "keeps" else "drops")
+            (if expect then "keeps" else "drops"))
+      stream
+  done;
+  Alcotest.(check bool) "streams hold near-duplicates" true (!near_dups > 0);
+  Alcotest.(check bool) "streams hold kept cuts" true (!kept > 0)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -481,6 +602,8 @@ let suite =
     Alcotest.test_case "wsdeque: multiset model" `Quick test_deque_model;
     Alcotest.test_case "gomory cuts past 768 rows" `Quick
       test_gomory_past_768_rows;
+    Alcotest.test_case "cut filter keeps what the string key kept" `Quick
+      test_cut_filter_matches_string_key;
     q prop_knapsack_matches_brute_force;
     q prop_assignment_matches_brute_force;
   ]

@@ -412,6 +412,74 @@ let test_warm_random_bound_changes () =
   done;
   Alcotest.(check bool) "dual path exercised" true (!warm_hits > 0)
 
+(* One warm repair long enough to cross a refactorization: the dual
+   loop prices its ratio test from duals BTRAN'd through the eta file
+   each pivot, on both sides of a refactorization, and the repaired
+   optimum must still certify and agree with a cold solve.  150 rows
+   around a known feasible point x0; then every box shrinks to
+   [x0 - 0.2, x0 + 0.2], which keeps x0 feasible but moves most basic
+   variables out of bounds at once. *)
+let test_warm_dual_across_refactor () =
+  let rng = Datasets.Prng.create 2024 in
+  let n = 240 and rows = 150 in
+  let x0 = Array.init n (fun _ -> Datasets.Prng.range rng 1.0 9.0) in
+  let m = Model.create ~name:"dual-refactor" () in
+  let vars =
+    Array.init n (fun i -> Model.add_var m ~hi:10.0 (Printf.sprintf "v%d" i))
+  in
+  for r = 0 to rows - 1 do
+    let e = ref Model.Linexpr.zero and lhs = ref 0.0 in
+    for _ = 1 to 12 do
+      let j = Datasets.Prng.int rng n in
+      let c = Datasets.Prng.range rng (-5.0) 5.0 in
+      e := Model.Linexpr.add !e (Model.Linexpr.term c vars.(j));
+      lhs := !lhs +. (c *. x0.(j))
+    done;
+    match r mod 3 with
+    | 0 -> Model.add_le m (Printf.sprintf "r%d" r) !e (!lhs +. 2.0)
+    | 1 -> Model.add_ge m (Printf.sprintf "r%d" r) !e (!lhs -. 2.0)
+    | _ -> Model.add_eq m (Printf.sprintf "r%d" r) !e !lhs
+  done;
+  Model.set_objective m
+    (Model.Linexpr.sum
+       (List.init n (fun j ->
+            Model.Linexpr.term (Datasets.Prng.range rng (-4.0) 4.0) vars.(j))));
+  let input = Simplex.of_model m in
+  let r0 = Simplex.solve ~want_basis:true input in
+  Alcotest.(check string) "base status" "optimal"
+    (Status.to_string r0.Simplex.status);
+  let basis = Option.get r0.Simplex.basis in
+  let lo = Array.map (fun v -> Float.max 0.0 (v -. 0.2)) x0
+  and hi = Array.map (fun v -> Float.min 10.0 (v +. 0.2)) x0 in
+  let changed = ref 0 in
+  Array.iteri
+    (fun j v ->
+      if r0.Simplex.x.(j) < v || r0.Simplex.x.(j) > hi.(j) then incr changed)
+    lo;
+  Alcotest.(check bool) ">= 100 variables pushed out of their box" true
+    (!changed >= 100);
+  let tightened = { input with Simplex.lo; hi } in
+  let rw = Simplex.solve ~warm:basis tightened in
+  let rc = Simplex.solve tightened in
+  Alcotest.(check bool) "dual path used" true rw.Simplex.warm_started;
+  Alcotest.(check bool)
+    (Printf.sprintf "repair crosses the refactor cadence (%d pivots)"
+       rw.Simplex.iterations)
+    true
+    (rw.Simplex.iterations > 128);
+  Alcotest.(check string) "warm status" "optimal"
+    (Status.to_string rw.Simplex.status);
+  (match Simplex.check_certificate tightened rw with
+  | [] -> ()
+  | errs -> Alcotest.failf "warm certificate: %s" (String.concat "; " errs));
+  let rel =
+    Float.abs (rw.Simplex.obj_value -. rc.Simplex.obj_value)
+    /. Float.max 1.0 (Float.abs rc.Simplex.obj_value)
+  in
+  if rel > 1e-9 then
+    Alcotest.failf "warm %.12g vs cold %.12g" rw.Simplex.obj_value
+      rc.Simplex.obj_value
+
 let test_warm_factor_needs_same_rows () =
   (* A factor is tied to the physical rows array it was built from: a
      copy with one coefficient changed (3x + 2y <= 18 becomes
@@ -522,6 +590,8 @@ let suite =
       test_warm_random_bound_changes;
     Alcotest.test_case "warm factor needs the same rows" `Quick
       test_warm_factor_needs_same_rows;
+    Alcotest.test_case "warm dual repair across a refactorization" `Quick
+      test_warm_dual_across_refactor;
     Alcotest.test_case "eta refactorization drift" `Quick
       test_eta_refactorization_drift;
     Alcotest.test_case "warm branches on a consolidation model" `Quick
